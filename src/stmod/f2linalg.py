@@ -4,7 +4,9 @@ Rows are packed into Python integers (bit j of row i is the (i, j)
 entry), so row operations are single XORs and matrices of a few
 thousand columns stay cheap.  Everything here is total on matrices
 with zero rows or zero columns, and all results are deterministic:
-pivots are always the leftmost nonzero column.
+``rref`` pivots are always the leftmost nonzero column, while
+``eliminate`` keys each echelon row by its highest set bit, which one
+``int.bit_length`` call finds.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ def vec_bits(v: int, n: int) -> list[int]:
 def vec_support(v: int) -> list[int]:
     """Indices of the nonzero entries of v, ascending."""
     out = []
-    j = 0
     while v:
-        if v & 1:
-            out.append(j)
-        v >>= 1
-        j += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
 
 
@@ -195,6 +195,42 @@ def kernel_basis(m: F2Matrix) -> list[int]:
                 v |= 1 << p
         basis.append(v)
     return basis
+
+
+def reduce_leading(table: dict[int, tuple[int, int]], vec: int,
+                   combo: int = 0) -> tuple[int, int]:
+    """Reduce vec by an echelon table {leading bit: (row, combo)}.
+
+    Each row is keyed by its highest set bit, so every step clears the
+    current leading bit of vec; returns the residual (zero exactly when vec
+    lies in the span of the rows) and combo xor the combos of the rows used.
+    """
+    while vec:
+        hit = table.get(vec.bit_length() - 1)
+        if hit is None:
+            break
+        vec ^= hit[0]
+        combo ^= hit[1]
+    return vec, combo
+
+
+def eliminate(cols: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """One elimination of the augmented matrix [cols | I].
+
+    Returns an echelon table of the column span, in the form read by
+    ``reduce_leading`` (each row carrying the combination of columns that
+    produced it), and a basis of the kernel {x : sum of x_j cols[j] = 0} as
+    vectors packed over the columns.
+    """
+    table: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for j, col in enumerate(cols):
+        vec, combo = reduce_leading(table, col, 1 << j)
+        if vec:
+            table[vec.bit_length() - 1] = (vec, combo)
+        else:
+            kernel.append(combo)
+    return table, kernel
 
 
 def solve(m: F2Matrix, b: int) -> int | None:

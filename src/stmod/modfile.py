@@ -40,7 +40,10 @@ def parse_algebra(token: str) -> SubHopfAlgebra:
     if not m:
         raise ModuleFileError(f"unknown algebra {token!r}")
     kind, n = m.group(1), int(m.group(2))
-    return steenrod.A(n) if kind == "A" else steenrod.E(n)
+    try:
+        return steenrod.A(n) if kind == "A" else steenrod.E(n)
+    except ValueError as exc:
+        raise ModuleFileError(f"unsupported algebra {token!r}: {exc}") from exc
 
 
 def algebra_token(alg: SubHopfAlgebra) -> str:
@@ -78,7 +81,10 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
             if len(parts) != 4 or parts[2] != "over":
                 raise ModuleFileError("expected: module <name> over <algebra>", ln)
             name = parts[1]
-            alg = parse_algebra(parts[3])
+            try:
+                alg = parse_algebra(parts[3])
+            except ModuleFileError as exc:
+                raise ModuleFileError(str(exc), ln) from exc
         elif parts[0] == "generator":
             if alg is None:
                 raise ModuleFileError("generator line before module header", ln)
@@ -121,9 +127,11 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
         d, si = where[src]
         g = alg.gen_degrees[gi]
         vec = 0
-        for t in targets:
+        for k, t in enumerate(targets):
             if t not in where:
                 raise ModuleFileError(f"unknown basis label {t}", ln)
+            if t in targets[:k]:
+                raise ModuleFileError(f"target {t} repeated", ln)
             td, ti = where[t]
             if td != d + g:
                 raise ModuleFileError(

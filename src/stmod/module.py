@@ -111,8 +111,7 @@ class GradedModule:
         """Action of the i-th algebra basis element, via its word expression."""
         hit = self._op_cache.get(i)
         if hit is None:
-            deg = self.algebra.basis[i].degree()
-            hit = Operator.zero(self, deg)
+            hit = Operator.zero(self, self.algebra.basis_degrees[i])
             for word in self.algebra.expressions[i]:
                 hit = hit.add(self._word_op(word))
             self._op_cache[i] = hit
@@ -319,10 +318,8 @@ def validate(m: GradedModule) -> list[str]:
     # generic subalgebra: multiplicativity on basis pairs; pairs whose
     # product degree exceeds the top degree multiply to zero in the algebra
     # and must act as the zero operator
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            di = alg.basis[i].degree()
-            dj = alg.basis[j].degree()
+    for i, di in enumerate(alg.basis_degrees):
+        for j, dj in enumerate(alg.basis_degrees):
             lhs = m.basis_op(i).compose(m.basis_op(j))
             rhs = Operator.zero(m, di + dj)
             if di + dj <= alg.top_degree:
@@ -360,8 +357,7 @@ def regular_module(alg: SubHopfAlgebra) -> GradedModule:
     labels: dict[int, list[str]] = {}
     index_of: dict[int, tuple[int, int]] = {}
     reps: dict[int, list[SteenrodElt]] = {}
-    for i, b in enumerate(alg.basis):
-        d = b.degree()
+    for i, (b, d) in enumerate(zip(alg.basis, alg.basis_degrees)):
         labels.setdefault(d, []).append(f"b{i}")
         reps.setdefault(d, []).append(b)
         index_of[i] = (d, len(labels[d]) - 1)
@@ -584,8 +580,8 @@ def quotient_by_left_ideal(alg: SubHopfAlgebra, gens) -> GradedModule:
         if x.is_zero():
             continue
         dx = x.degree()
-        for bi, b in enumerate(alg.basis):
-            d = b.degree() + dx
+        for b, db in zip(alg.basis, alg.basis_degrees):
+            d = db + dx
             if d > alg.top_degree:
                 continue
             prod = b * x
@@ -611,7 +607,7 @@ def hopf_quotient(h: SubHopfAlgebra, k: SubHopfAlgebra) -> GradedModule:
     """h//k = h / h*(positive part of k), as a left h-module."""
     if not k.is_subalgebra_of(h):
         raise ValueError(f"{k.name} is not a subalgebra of {h.name}")
-    gens = [b for b in k.basis if b.degree() > 0]
+    gens = [b for b, d in zip(k.basis, k.basis_degrees) if d > 0]
     q = quotient_by_left_ideal(h, gens)
     q.meta["name"] = f"{h.name}//{k.name}"
     return q
@@ -632,8 +628,7 @@ def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModul
             raise ValueError("module is not given over the middle algebra")
     # slots: pairs (algebra basis index of a, (module degree, module index))
     slot_info: dict[int, list[tuple[int, int, int]]] = {}
-    for ai, x in enumerate(a.basis):
-        dx = x.degree()
+    for ai, dx in enumerate(a.basis_degrees):
         for dv in m.degrees():
             for iv in range(m.dim(dv)):
                 slot_info.setdefault(dx + dv, []).append((ai, dv, iv))
@@ -648,11 +643,9 @@ def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModul
         return v
 
     relations: dict[int, list[int]] = {}
-    positive_b = [bb for bb in b.basis if bb.degree() > 0]
-    for ai, x in enumerate(a.basis):
-        dx = x.degree()
-        for y in positive_b:
-            dy = y.degree()
+    positive_b = [(bb, d) for bb, d in zip(b.basis, b.basis_degrees) if d > 0]
+    for ai, (x, dx) in enumerate(zip(a.basis, a.basis_degrees)):
+        for y, dy in positive_b:
             xy = x * y
             xy_indices = a.decompose(xy) if not xy.is_zero() else []
             y_op = m.element_op(y)

@@ -2,19 +2,26 @@
 
 A resolution stage is a free module recorded by its generator degrees; the
 differential is stored as the list of generator images in the previous
-stage.  Stage 0 covers the module by the free module on a basis of
-m / (augmentation ideal)m, and each subsequent stage covers the kernel of
-the previous differential minimally, degree by degree.  Generator counts by
-(stage, internal degree) are the Ext dimensions; ``ext_groups`` recomputes
-them (for any coefficient module) by honest rank arithmetic on the Hom
-complex, which doubles as an independent check of the minimal chart.
+stage (stage 0: in the module).  The resolver follows R. R. Bruner,
+*Calculation of large Ext modules* (1989): for each stage s and internal
+degree t in ascending order it forms the images b.d(g) of the stage-s basis
+slots (g, b) already present in degree t and runs one elimination of
+[d_s | I].  That single pass gives an echelon basis of im d_s and a basis of
+ker d_s, which is kept for stage s+1.  The new stage-s generators in degree
+t are the vectors of ker d_{s-1} (for s = 0: the module's degree-t basis)
+that do not reduce to zero modulo that image; each new generator's image is
+independent of everything before it, so it leaves ker d_s unchanged.
+Generator counts by (stage, internal degree) are the Ext dimensions;
+``ext_groups`` recomputes them (for any coefficient module) by honest rank
+arithmetic on the Hom complex, which doubles as an independent check of the
+minimal chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2linalg import F2Matrix, kernel_basis, rref, solve, vec_support
+from .f2linalg import F2Matrix, eliminate, reduce_leading, rref, solve, vec_support
 from .module import GradedModule
 from .steenrod import SubHopfAlgebra
 
@@ -51,20 +58,36 @@ class FreeStage:
     def dim(self, t: int) -> int:
         return len(self.basis(t))
 
-    def pos(self, t: int, gi: int, bi: int) -> int:
-        self.basis(t)
-        return self._pos[t][(gi, bi)]
-
     def act(self, t: int, alg_idx: int, vec: int) -> int:
         """Left action of algebra basis element alg_idx on a degree-t vector."""
         alg = self.algebra
-        da = alg.basis[alg_idx].degree()
+        basis = self.basis(t)
+        target = t + alg.basis_degrees[alg_idx]
+        self.basis(target)
+        pos = self._pos[target]
         out = 0
         for slot in vec_support(vec):
-            gi, bi = self.basis(t)[slot]
+            gi, bi = basis[slot]
             for k in alg.mult(alg_idx, bi):
-                out ^= 1 << self.pos(t + da, gi, k)
+                out ^= 1 << pos[(gi, k)]
         return out
+
+
+def _slot_images(m: GradedModule, prev: FreeStage | None, stage: FreeStage,
+                 images: list[int], t: int) -> list[int]:
+    """d(b.g) = b.d(g) for the stage basis slots (g, b) in degree t.
+
+    ``prev`` is the stage the differential lands in, or None for stage 0,
+    whose generator images lie in the module m.
+    """
+    cols = []
+    for gi, bi in stage.basis(t):
+        gd = stage.gen_degrees[gi]
+        if prev is None:
+            cols.append(m.basis_op(bi).apply(gd, images[gi]))
+        else:
+            cols.append(prev.act(gd, bi, images[gi]))
+    return cols
 
 
 @dataclass
@@ -90,21 +113,9 @@ class MinimalResolution:
         Columns run over the stage-s basis; rows over the stage-(s-1) basis
         (s=0: over the module's degree-t basis).
         """
-        stage = self.stages[s]
-        if s == 0:
-            rows = self.module.dim(t)
-            cols = []
-            for gi, bi in stage.basis(t):
-                img = self.images[0][gi]  # vector in module degree gen_degrees[gi]
-                op = self.module.basis_op(bi)
-                cols.append(op.apply(stage.gen_degrees[gi], img))
-            return F2Matrix.from_cols(cols, rows)
-        prev = self.stages[s - 1]
-        cols = []
-        for gi, bi in stage.basis(t):
-            img = self.images[s][gi]
-            cols.append(prev.act(stage.gen_degrees[gi], bi, img))
-        return F2Matrix.from_cols(cols, prev.dim(t))
+        prev = self.stages[s - 1] if s else None
+        cols = _slot_images(self.module, prev, self.stages[s], self.images[s], t)
+        return F2Matrix.from_cols(cols, prev.dim(t) if prev else self.module.dim(t))
 
     def chart(self) -> "ExtChart":
         entries: dict[tuple[int, int], int] = {}
@@ -149,91 +160,29 @@ def minimal_resolution(m: GradedModule, s_max: int, t_max: int) -> MinimalResolu
     """Resolve m minimally up to homological degree s_max and internal
     degree t_max; kernels are covered by new generators in ascending degree."""
     alg = m.algebra
-    t_min = min(m.degrees(), default=0)
+    degrees = range(min(m.degrees(), default=0), t_max + 1)
+    # ker d_{-1} is all of m, so stage 0 covers m's degree-t basis
+    kernels = {t: [1 << i for i in range(m.dim(t))] for t in degrees}
     stages: list[FreeStage] = []
     images: list[list[int]] = []
-
-    # stage 0: cover m / (positive part)m
-    stage0 = FreeStage(alg, [])
-    imgs0: list[int] = []
-    for t in range(t_min, t_max + 1):
-        if not m.dim(t):
-            continue
-        span_rows: list[int] = []
-        for da in range(1, t - t_min + 1):
-            for bi in (alg.basis_by_degree(da) if da <= alg.top_degree else []):
-                mat = m.basis_op(bi).mat(t - da)
-                span_rows.extend(c for c in mat.columns() if c)
-        red, _, pivots = rref(F2Matrix.from_rows(span_rows, m.dim(t)))
-        reduced = [((r & -r).bit_length() - 1, r) for r in red.data if r]
-
-        def project(vec):
-            for piv, row in reduced:
-                if (vec >> piv) & 1:
-                    vec ^= row
-            return vec
-
-        chosen: list[tuple[int, int]] = []  # (pivot, reduced vector)
-        for i in range(m.dim(t)):
-            v = project(1 << i)
-            for piv, row in chosen:
-                if (v >> piv) & 1:
-                    v ^= row
-            if v:
-                stage0.add_generator(t)
-                imgs0.append(1 << i)
-                chosen.append(((v & -v).bit_length() - 1, v))
-    stages.append(stage0)
-    images.append(imgs0)
-
-    for s in range(1, s_max + 1):
-        prev = stages[s - 1]
+    for s in range(s_max + 1):
+        prev = stages[-1] if stages else None
         stage = FreeStage(alg, [])
         imgs: list[int] = []
-        kernels: dict[int, list[int]] = {}
-        lo = min(prev.gen_degrees, default=t_max + 1)
-        for t in range(lo, t_max + 1):
-            ker = kernel_basis(diff_with(stages, images, m, s - 1, t))
-            kernels[t] = ker
-            # span of (positive part) * (lower kernels)
-            rows: list[int] = []
-            for da in range(1, t - lo + 1):
-                if da > alg.top_degree:
-                    continue
-                for bi in alg.basis_by_degree(da):
-                    for w in kernels.get(t - da, []):
-                        v = prev.act(t - da, bi, w)
-                        if v:
-                            rows.append(v)
-            red, _, _ = rref(F2Matrix.from_rows(rows, prev.dim(t)))
-            reduced = [((r & -r).bit_length() - 1, r) for r in red.data if r]
-            chosen: list[tuple[int, int]] = []
-            for w in ker:
-                v = w
-                for piv, row in reduced:
-                    if (v >> piv) & 1:
-                        v ^= row
-                for piv, row in chosen:
-                    if (v >> piv) & 1:
-                        v ^= row
+        next_kernels: dict[int, list[int]] = {}
+        for t in degrees:
+            image, next_kernels[t] = eliminate(_slot_images(m, prev, stage, imgs, t))
+            for w in kernels[t]:
+                v, _ = reduce_leading(image, w)
                 if v:
+                    image[v.bit_length() - 1] = (v, 0)
                     stage.add_generator(t)
-                    imgs.append(v)
-                    chosen.append(((v & -v).bit_length() - 1, v))
+                    imgs.append(w)
         stages.append(stage)
         images.append(imgs)
-
+        kernels = next_kernels
     return MinimalResolution(module=m, s_max=s_max, t_max=t_max,
                              stages=stages, images=images)
-
-
-def diff_with(stages, images, m, s, t):
-    """diff_matrix while the resolution record is still under construction."""
-    res = MinimalResolution.__new__(MinimalResolution)
-    res.module = m
-    res.stages = stages
-    res.images = images
-    return MinimalResolution.diff_matrix(res, s, t)
 
 
 # ---------------------------------------------------------------------------

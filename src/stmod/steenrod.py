@@ -342,20 +342,37 @@ class SubHopfAlgebra:
     ``basis`` is a linearly independent, multiplicatively closed spanning
     set containing the unit; ``expressions[i]`` is a set of generator words
     (tuples of generator indices, the empty word meaning 1) whose sum
-    multiplies out to ``basis[i]``.
+    multiplies out to ``basis[i]``.  The degree data (``gen_degrees``,
+    ``basis_degrees``, the per-degree index tuples, ``degrees``,
+    ``top_degree`` and ``unit_index``) is fixed here, once, so that no
+    lookup rescans Milnor tuples; a caller that already knows the basis
+    degrees passes them as ``basis_degrees``.
     """
 
     def __init__(self, ambient: int, name: str,
                  generators: tuple[SteenrodElt, ...], gen_names: tuple[str, ...],
                  basis: tuple[SteenrodElt, ...],
                  expressions: tuple[frozenset[Word], ...],
-                 kind: str = "custom", kind_param: int = -1):
+                 kind: str = "custom", kind_param: int = -1,
+                 basis_degrees: tuple[int, ...] | None = None):
         self.ambient = ambient
         self.name = name
         self.generators = tuple(generators)
         self.gen_names = tuple(gen_names)
+        self.gen_degrees = tuple(g.degree() for g in self.generators)
         self.basis = tuple(basis)
         self.expressions = tuple(expressions)
+        if basis_degrees is None:
+            basis_degrees = (b.degree() for b in self.basis)
+        self.basis_degrees = tuple(basis_degrees)
+        by_degree: dict[int, list[int]] = {}
+        for i, d in enumerate(self.basis_degrees):
+            by_degree.setdefault(d, []).append(i)
+        self._by_degree = {d: tuple(ids) for d, ids in by_degree.items()}
+        self.degrees = tuple(sorted(by_degree))
+        self.top_degree = max(self.basis_degrees, default=0)
+        self.unit_index = next((i for i, b in enumerate(self.basis)
+                                if b.terms == frozenset({()})), None)
         self.kind = kind  # "A", "E" or "custom"; presets tag themselves
         self.kind_param = kind_param
         self._span: F2Span | None = None
@@ -368,27 +385,11 @@ class SubHopfAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def gen_degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree() for g in self.generators)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({b.degree() for b in self.basis}))
-
-    @property
-    def top_degree(self) -> int:
-        return max(b.degree() for b in self.basis)
-
-    def basis_by_degree(self, d: int) -> list[int]:
-        return [i for i, b in enumerate(self.basis) if b.degree() == d]
+    def basis_by_degree(self, d: int) -> tuple[int, ...]:
+        return self._by_degree.get(d, ())
 
     def basis_dim(self, d: int) -> int:
-        return len(self.basis_by_degree(d))
-
-    @property
-    def unit_index(self) -> int:
-        return next(i for i, b in enumerate(self.basis) if b.terms == frozenset({()}))
+        return len(self._by_degree.get(d, ()))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubHopfAlgebra)
@@ -543,22 +544,22 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
             push(child, frozenset(w + (gi,) for w in words))
 
     # canonical order: by degree, then by echelon vector
-    order = sorted(range(len(residual_vecs)),
-                   key=lambda i: (_vec_to_elt(residual_vecs[i], ambient).degree(),
-                                  residual_vecs[i]))
+    elts = [_vec_to_elt(v, ambient) for v in residual_vecs]
+    degs = [e.degree() for e in elts]
+    order = sorted(range(len(elts)), key=lambda i: (degs[i], residual_vecs[i]))
     basis = []
     exprs = []
     for i in order:
-        elt = _vec_to_elt(residual_vecs[i], ambient)
         live = frozenset(w for w in resid_exprs[i]
                          if not _word_value(gens, ambient, w).is_zero())
-        basis.append(elt)
+        basis.append(elts[i])
         exprs.append(live)
     alg = SubHopfAlgebra(ambient=ambient,
                          name=name or ("F_2(" + ", ".join(names) + ")"),
                          generators=gens, gen_names=tuple(names),
                          basis=tuple(basis), expressions=tuple(exprs),
-                         kind=kind, kind_param=kind_param)
+                         kind=kind, kind_param=kind_param,
+                         basis_degrees=tuple(degs[i] for i in order))
     # rebuild the span so that payloads refer to sorted basis positions
     fresh = F2Span()
     for i, b in enumerate(alg.basis):
@@ -725,8 +726,11 @@ _TOKEN = re.compile(r"Sq\^(\d+)|Sq\(([\d,\s]*)\)|P\(\s*1\s*,\s*(\d+)\s*\)|1|\S")
 def parse_element(text: str, ambient: int) -> SteenrodElt:
     """Parse the element grammar into a SteenrodElt of A(ambient)."""
     total = zero(ambient)
-    for chunk in text.split("+"):
+    chunks = text.split("+")
+    for chunk in chunks:
         chunk = chunk.strip()
+        if not chunk and len(chunks) > 1:
+            raise ValueError(f"empty summand next to '+' in {text!r}")
         if not chunk or chunk == "0":
             continue
         factor = unit(ambient)

@@ -110,6 +110,28 @@ def test_parse_error_reports_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("module X over A(9)\n", 1),
+    ("module X over A(1)\ngenerator a degree 0\ngenerator b degree 1\n"
+     "action Sq^1++Sq^2 a = b\n", 4),
+    ("module X over A(1)\ngenerator a degree 0\ngenerator b degree 2\n"
+     "action Sq^2 a = b + b\n", 4),
+], ids=["algebra-out-of-range", "empty-summand", "repeated-target"])
+def test_malformed_file_exits_one_with_location(tmp_path, capsys, text, line):
+    p = tmp_path / "bad.mod"
+    p.write_text(text)
+    code, out, err = run(capsys, "define", "--file", str(p))
+    assert code == 1
+    assert f"line {line}" in err and "Traceback" not in err
+
+
+def test_quotient_rejects_empty_summand(capsys):
+    code, out, err = run(capsys, "quotient", "--algebra", "A(1)",
+                         "--kill", "Sq^1++Sq^2")
+    assert code == 1
+    assert "empty summand" in err
+
+
 def test_define_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "define", "--fixture", "Joker")
     assert code == 0

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as hst
 
-from stmod.f2linalg import (F2Matrix, F2Span, kernel_basis, rank, rref, solve,
-                            solve_matrix, vec_bits, vec_from_bits)
+from stmod.f2linalg import (F2Matrix, F2Span, eliminate, kernel_basis, rank,
+                            reduce_leading, rref, solve, solve_matrix, vec_bits,
+                            vec_from_bits, vec_support)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,29 @@ def test_rank_nullity(rows, cols, rnd):
     m = F2Matrix.from_rows([rnd.getrandbits(cols) if cols else 0
                             for _ in range(rows)], cols)
     assert rank(m) + len(kernel_basis(m)) == cols
+
+
+@given(hst.integers(0, 16), hst.integers(0, 16), hst.randoms(use_true_random=False))
+def test_eliminate_against_rref_oracle(rows, cols, rnd):
+    """One pass over [d | I]: image rank, kernel basis and span membership."""
+    m = F2Matrix.from_rows([rnd.getrandbits(cols) if cols else 0
+                            for _ in range(rows)], cols)
+    table, kernel = eliminate(m.columns())
+    assert len(table) == rank(m)
+    assert len(kernel) == cols - rank(m)
+    assert rank(F2Matrix.from_rows(kernel, cols)) == len(kernel)
+    assert all(m.mat_vec(x) == 0 for x in kernel)
+    for row, combo in table.values():
+        assert m.mat_vec(combo) == row
+    probe = rnd.getrandbits(rows) if rows else 0
+    inside = solve(m, probe) is not None
+    assert (reduce_leading(table, probe)[0] == 0) == inside
+
+
+def test_vec_support_lists_set_bits():
+    assert vec_support(0) == []
+    assert vec_support(0b1011001) == [0, 3, 4, 6]
+    assert vec_support(1 << 200 | 2) == [1, 200]
 
 
 def test_matmul_and_vec_agree():

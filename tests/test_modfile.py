@@ -114,3 +114,27 @@ def test_duplicate_action_line_rejected():
     with pytest.raises(ModuleFileError) as err:
         parse_module(bad)
     assert "line 5" in str(err.value)
+
+
+def _located_error(text: str) -> ModuleFileError:
+    with pytest.raises(ModuleFileError) as err:
+        parse_module(text)
+    return err.value
+
+
+def test_unsupported_algebra_header_is_located():
+    err = _located_error("# header below\nmodule X over A(9)\n")
+    assert err.line == 2 and "line 2" in str(err)
+    assert "A(9)" in str(err)
+
+
+def test_empty_summand_in_action_is_located():
+    err = _located_error("module X over A(1)\ngenerator a degree 0\n"
+                         "generator b degree 1\naction Sq^1++Sq^2 a = b\n")
+    assert err.line == 4 and "empty summand" in str(err)
+
+
+def test_repeated_action_target_is_located():
+    err = _located_error("module X over A(1)\ngenerator a degree 0\n"
+                         "generator b degree 2\naction Sq^2 a = b + b\n")
+    assert err.line == 4 and "repeated" in str(err)

@@ -44,6 +44,16 @@ def test_resolution_handles_negative_degrees():
     assert res.check_exactness()
 
 
+def test_a2_resolution_is_minimal_exact_and_matches_hom_oracle(A2):
+    f2 = trivial_module(A2)
+    res = minimal_resolution(f2, 7, 28)
+    assert res.is_minimal()
+    assert res.check_exactness()
+    ch = res.chart()
+    oracle = ext_groups(f2, f2, 6, 24, resolution=res)
+    assert oracle.window_equal(ch, 6, 24) and ch.window_equal(oracle, 6, 24)
+
+
 # ---------------------------------------------------------------------------
 # charts
 
@@ -116,6 +126,31 @@ def test_ext_di1_shift_identity(f2_resolution):
     for s in range(1, 9):
         for t in range(-6, 16):
             assert ch_d.get(s, t) == ch_f.get(s - 1, t), (s, t)
+
+
+def polynomial_chart(n: int, s_max: int, t_max: int) -> dict[tuple[int, int], int]:
+    """Bigraded dimensions of F2[v_0..v_n], v_i in bidegree (1, 2^(i+1) - 1)."""
+    dims = {(0, 0): 1}
+    for i in range(n + 1):
+        step = 2 ** (i + 1) - 1
+        for s in range(1, s_max + 1):  # ascending, so powers of v_i count
+            for t in range(step, t_max + 1):
+                below = dims.get((s - 1, t - step), 0)
+                if below:
+                    dims[(s, t)] = dims.get((s, t), 0) + below
+    return dims
+
+
+@pytest.mark.parametrize("n, s_max, t_max", [(2, 10, 40), (3, 8, 60)])
+def test_ext_over_exterior_algebra_is_polynomial(n, s_max, t_max):
+    ch = ext_chart(trivial_module(st.E(n)), s_max, t_max)
+    assert dict(ch.items()) == polynomial_chart(n, s_max, t_max)
+
+
+def test_change_of_rings_a2_mod_a1_is_a1_chart(A2, f2_a1):
+    lhs = ext_chart(hopf_quotient(A2, st.A(1, 2)), 6, 24)
+    rhs = ext_chart(f2_a1, 6, 24)
+    assert dict(lhs.items()) == dict(rhs.items())
 
 
 def test_change_of_rings_with_duality_twist(A1, f2_a1):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stmod import steenrod as st
+from stmod import fixtures, steenrod as st
 from stmod.steenrod import (Sq, antipode, coproduct, milnor_primitive,
                             milnor_product, parse_element, sq, unit, zero)
 
@@ -189,6 +189,27 @@ def test_closure_generates_all_of_a1():
     assert alg.dim == 8
 
 
+@pytest.mark.parametrize("make", [
+    lambda: st.A(0), lambda: st.A(1), lambda: st.A(2), lambda: st.A(3),
+    lambda: st.E(1), lambda: st.E(2), lambda: st.E(3), fixtures.algebra_P11,
+], ids=["A0", "A1", "A2", "A3", "E1", "E2", "E3", "P11"])
+def test_degree_tables_match_basis_scan(make):
+    alg = make()
+    scanned = [b.degree() for b in alg.basis]
+    assert list(alg.basis_degrees) == scanned
+    for d in range(-1, max(scanned) + 2):
+        ids = alg.basis_by_degree(d)
+        assert list(ids) == [i for i, e in enumerate(scanned) if e == d]
+        assert alg.basis_dim(d) == len(ids)
+        with pytest.raises(AttributeError):
+            ids.append(0)
+    assert alg.top_degree == max(scanned)
+    assert alg.degrees == tuple(sorted(set(scanned)))
+    assert alg.unit_index == next(i for i, b in enumerate(alg.basis)
+                                  if b.terms == frozenset({()}))
+    assert alg.gen_degrees == tuple(g.degree() for g in alg.generators)
+
+
 def test_dimension_formula():
     for n in (0, 1, 2):
         assert st.A(n).dim == 2 ** ((n + 1) * (n + 2) // 2)
@@ -294,6 +315,14 @@ def test_parse_element_rejects_junk():
         parse_element("Sqq^2", 1)
     with pytest.raises(st.OutOfAmbientError):
         parse_element("Sq^4", 1)
+
+
+def test_parse_element_rejects_empty_summand():
+    for text in ("Sq^1++Sq^2", "+Sq^1", "Sq^2 +", "+"):
+        with pytest.raises(ValueError, match="empty summand"):
+            parse_element(text, 1)
+    assert parse_element("0", 1).is_zero()
+    assert parse_element("1 + 0", 1).terms == {()}
 
 
 def test_str_round_trip():
