@@ -20,14 +20,25 @@ class DomainError(Exception):
     pass
 
 
+def _fixture(name: str, flag: str = "--fixture") -> md.GradedModule:
+    try:
+        return fixtures.load_fixture(name)
+    except KeyError as exc:
+        raise DomainError(f"{flag}: {exc.args[0]}")
+
+
+def _nonnegative(args, attr: str) -> int:
+    value = getattr(args, attr)
+    if value < 0:
+        raise DomainError(f"--{attr} must be nonnegative, got {value}")
+    return value
+
+
 def _load(args, attr_fixture="fixture", attr_file="file") -> md.GradedModule:
     fx = getattr(args, attr_fixture, None)
     fp = getattr(args, attr_file, None)
     if fx:
-        try:
-            return fixtures.load_fixture(fx)
-        except KeyError as exc:
-            raise DomainError(str(exc))
+        return _fixture(fx)
     if fp:
         try:
             with open(fp) as fh:
@@ -126,7 +137,7 @@ def cmd_validate(args) -> int:
 
 def cmd_tensor(args) -> int:
     m = _load(args)
-    n = fixtures.load_fixture(args.with_fixture) if args.with_fixture else None
+    n = _fixture(args.with_fixture, "--with") if args.with_fixture else None
     if n is None:
         raise DomainError("tensor needs --with FIXTURE")
     try:
@@ -162,7 +173,7 @@ def cmd_reduce(args) -> int:
 def cmd_loop(args) -> int:
     m = _load(args)
     fn = stable.oloop if args.inverse else stable.loop
-    for _ in range(args.times):
+    for _ in range(_nonnegative(args, "times")):
         m = fn(m)
     _emit(args, _serialized(m, "looped"))
     return 0
@@ -205,15 +216,15 @@ def cmd_double(args) -> int:
 
 def cmd_ext(args) -> int:
     m = _load(args)
-    chart = resolve.ext_chart(m, args.smax, args.tmax)
+    chart = resolve.ext_chart(m, _nonnegative(args, "smax"), args.tmax)
     _emit(args, resolve.render_chart(chart, args.format))
     return 0
 
 
 def cmd_extgroups(args) -> int:
     m = _load(args)
-    n = fixtures.load_fixture(args.coeff)
-    chart = resolve.ext_groups(m, n, args.smax, args.tmax)
+    n = _fixture(args.coeff, "--coeff")
+    chart = resolve.ext_groups(m, n, _nonnegative(args, "smax"), args.tmax)
     _emit(args, resolve.render_chart(chart, args.format))
     return 0
 

@@ -3,10 +3,18 @@
 Rows are packed into Python integers (bit j of row i is the (i, j)
 entry), so row operations are single XORs and matrices of a few
 thousand columns stay cheap.  Everything here is total on matrices
-with zero rows or zero columns, and all results are deterministic:
-``rref`` pivots are always the leftmost nonzero column, while
-``eliminate`` keys each echelon row by its highest set bit, which one
-``int.bit_length`` call finds.
+with zero rows or zero columns.
+
+There is one elimination routine, ``F2Span``: echelon rows keyed by
+their lowest set bit (the leftmost column), each carrying an int combo
+of the vectors it was built from.  ``eliminate``, ``rref``,
+``kernel_basis``, ``solve`` and ``solve_matrix`` are built on it, and
+every answer is canonical, so none depends on the order rows arrive in:
+a reduced vector is the unique element of its coset with no pivot bit
+set, ``rref`` pivots are the leftmost nonzero columns, a solution is the
+unique one supported on the greedy (leftmost) independent columns, and
+the kernel vector of each other column f is e_f plus the unique
+combination of greedy columns left of f.
 """
 
 from __future__ import annotations
@@ -149,33 +157,97 @@ class F2Matrix:
         return iter(self.data)
 
 
+class F2Span:
+    """Incrementally built echelon basis of a subspace of GF(2)^n.
+
+    Rows are stored as ``{pivot: (row, combo)}``, the pivot being the
+    row's lowest set bit; rows are not reduced against each other.  A
+    row's ``combo`` is the xor of the combos passed to ``add`` with the
+    vectors it was built from, so a caller that passes ``1 << i`` with its
+    i-th vector reads off which of its vectors sum to the row.
+    """
+
+    def __init__(self):
+        self._rows: dict[int, tuple[int, int]] = {}
+        self._mask = 0  # one bit per pivot
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def rows(self) -> list[tuple[int, int]]:
+        """The (row, combo) pairs in ascending pivot order."""
+        return [self._rows[p] for p in sorted(self._rows)]
+
+    def reduce(self, vec: int, combo: int = 0) -> tuple[int, int]:
+        """Clear every pivot bit of vec, lowest first.
+
+        Returns (residual, combo): the residual is the unique element of
+        vec + span with no pivot bit set (zero exactly when vec lies in
+        the span), and combo is xored with the combos of the rows used.
+        A row only touches bits at or above its pivot, so cleared pivots
+        stay clear.
+        """
+        hits = vec & self._mask
+        while hits:
+            row, c = self._rows[(hits & -hits).bit_length() - 1]
+            vec ^= row
+            combo ^= c
+            hits = vec & self._mask
+        return vec, combo
+
+    def add(self, vec: int, combo: int = 0) -> bool:
+        """Add vec to the span.  Returns True when the dimension grew."""
+        residual, combo = self.reduce(vec, combo)
+        if residual == 0:
+            return False
+        low = residual & -residual
+        self._rows[low.bit_length() - 1] = (residual, combo)
+        self._mask |= low
+        return True
+
+    def contains(self, vec: int) -> bool:
+        return self.reduce(vec)[0] == 0
+
+
+def eliminate(cols: list[int]) -> tuple[F2Span, list[int]]:
+    """One elimination of the augmented matrix [cols | I].
+
+    Returns the span of the columns, each row's combo naming the columns
+    that sum to it, and a basis of the kernel {x : sum of x_j cols[j] = 0}
+    as vectors packed over the columns.  Column j joins the span exactly
+    when it is independent of the columns before it, so every combo, and
+    every kernel vector but its own free column, is supported on these
+    greedy (leftmost) independent columns.
+    """
+    span = F2Span()
+    kernel = []
+    for j, col in enumerate(cols):
+        vec, combo = span.reduce(col, 1 << j)
+        if vec:
+            span.add(vec, combo)
+        else:
+            kernel.append(combo)
+    return span, kernel
+
+
 def rref(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
     """Reduced row-echelon form.
 
     Returns (reduced, rank, pivot_cols).  Pivots are the leftmost
     nonzero columns, so the output is canonical for the row space.
     """
-    work = list(m.data)
-    pivot_cols: list[int] = []
-    rank = 0
-    for j in range(m.cols):
-        sel = -1
-        for i in range(rank, m.rows):
-            if (work[i] >> j) & 1:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        for i in range(m.rows):
-            if i != rank and (work[i] >> j) & 1:
-                work[i] ^= work[rank]
-        pivot_cols.append(j)
-        rank += 1
-        if rank == m.rows:
-            break
-    # rows below the rank are zero, but sweep upward cleaning already done
-    return F2Matrix(m.rows, m.cols, tuple(work)), rank, pivot_cols
+    span = F2Span()
+    for row in m.data:
+        span.add(row)
+    pivots = span.pivots()
+    reduced = [(1 << p) | span.reduce(row ^ (1 << p))[0]
+               for p, (row, _) in zip(pivots, span.rows())]
+    reduced += [0] * (m.rows - len(reduced))
+    return F2Matrix(m.rows, m.cols, tuple(reduced)), len(pivots), pivots
 
 
 def rank(m: F2Matrix) -> int:
@@ -183,12 +255,17 @@ def rank(m: F2Matrix) -> int:
 
 
 def kernel_basis(m: F2Matrix) -> list[int]:
-    """Basis (packed vectors over the columns) of {x : m @ x = 0}."""
-    reduced, rk, pivots = rref(m)
+    """Basis (packed vectors over the columns) of {x : m @ x = 0}.
+
+    One vector per non-pivot column f: e_f plus the pivot columns whose
+    reduced row has a 1 in column f.
+    """
+    reduced, _, pivots = rref(m)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for f in free_cols:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
         v = 1 << f
         for r, p in enumerate(pivots):
             if (reduced.data[r] >> f) & 1:
@@ -197,116 +274,25 @@ def kernel_basis(m: F2Matrix) -> list[int]:
     return basis
 
 
-def reduce_leading(table: dict[int, tuple[int, int]], vec: int,
-                   combo: int = 0) -> tuple[int, int]:
-    """Reduce vec by an echelon table {leading bit: (row, combo)}.
-
-    Each row is keyed by its highest set bit, so every step clears the
-    current leading bit of vec; returns the residual (zero exactly when vec
-    lies in the span of the rows) and combo xor the combos of the rows used.
-    """
-    while vec:
-        hit = table.get(vec.bit_length() - 1)
-        if hit is None:
-            break
-        vec ^= hit[0]
-        combo ^= hit[1]
-    return vec, combo
-
-
-def eliminate(cols: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """One elimination of the augmented matrix [cols | I].
-
-    Returns an echelon table of the column span, in the form read by
-    ``reduce_leading`` (each row carrying the combination of columns that
-    produced it), and a basis of the kernel {x : sum of x_j cols[j] = 0} as
-    vectors packed over the columns.
-    """
-    table: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for j, col in enumerate(cols):
-        vec, combo = reduce_leading(table, col, 1 << j)
-        if vec:
-            table[vec.bit_length() - 1] = (vec, combo)
-        else:
-            kernel.append(combo)
-    return table, kernel
-
-
 def solve(m: F2Matrix, b: int) -> int | None:
-    """One solution x of m @ x = b, or None when the system is inconsistent."""
+    """The solution x of m @ x = b supported on the leftmost independent
+    columns of m, or None when the system is inconsistent."""
     if b >> m.rows:
         raise ValueError("right-hand side has entries outside the row range")
-    aug_rows = tuple(r | (((b >> i) & 1) << m.cols) for i, r in enumerate(m.data))
-    aug = F2Matrix(m.rows, m.cols + 1, aug_rows)
-    reduced, _, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = 0
-    for r, p in enumerate(pivots):
-        if (reduced.data[r] >> m.cols) & 1:
-            x |= 1 << p
-    return x
+    residual, x = eliminate(m.columns())[0].reduce(b)
+    return None if residual else x
 
 
 def solve_matrix(m: F2Matrix, b: F2Matrix) -> F2Matrix | None:
-    """Solve m @ X = b columnwise; None when any column is inconsistent."""
+    """Solve m @ X = b columnwise, as ``solve`` would, from one elimination
+    of m; None when any column is inconsistent."""
     if m.rows != b.rows:
         raise ValueError("row mismatch in matrix solve")
+    span = eliminate(m.columns())[0]
     cols = []
     for j in range(b.cols):
-        x = solve(m, b.col(j))
-        if x is None:
+        residual, x = span.reduce(b.col(j))
+        if residual:
             return None
         cols.append(x)
     return F2Matrix.from_cols(cols, m.cols)
-
-
-class F2Span:
-    """Incrementally maintained echelon basis of a subspace of GF(2)^n.
-
-    Optionally carries a payload per basis row (a frozenset combined by
-    symmetric difference), used to remember how each echelon vector was
-    assembled from the vectors fed in.
-    """
-
-    def __init__(self):
-        self._rows: list[tuple[int, int, frozenset]] = []  # (pivot, vec, payload)
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def vectors(self) -> list[int]:
-        return [v for _, v, _ in self._rows]
-
-    def rows(self) -> list[tuple[int, int, frozenset]]:
-        return list(self._rows)
-
-    def reduce(self, vec: int, payload: frozenset = frozenset()) -> tuple[int, frozenset]:
-        """Reduce vec against the span; returns (residual, combined payload).
-
-        Rows are kept mutually reduced (each pivot occurs in exactly one
-        row), so a single pass suffices.
-        """
-        for piv, row, pay in self._rows:
-            if (vec >> piv) & 1:
-                vec ^= row
-                payload = payload ^ pay
-        return vec, payload
-
-    def add(self, vec: int, payload: frozenset = frozenset()) -> bool:
-        """Add vec to the span.  Returns True when the dimension grew."""
-        residual, pay = self.reduce(vec, payload)
-        if residual == 0:
-            return False
-        piv = (residual & -residual).bit_length() - 1
-        self._rows = [
-            (p, r ^ residual, q ^ pay) if (r >> piv) & 1 else (p, r, q)
-            for p, r, q in self._rows
-        ]
-        self._rows.append((piv, residual, pay))
-        return True
-
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec)[0] == 0

@@ -15,7 +15,7 @@ fresh modules and never mutate their inputs.
 
 from __future__ import annotations
 
-from .f2linalg import F2Matrix, rref, vec_support
+from .f2linalg import F2Matrix, F2Span, rref, vec_support
 from . import steenrod
 from .steenrod import SteenrodElt, SubHopfAlgebra
 
@@ -518,21 +518,17 @@ def _quotient_from_relations(alg: SubHopfAlgebra, slot_info, relations,
     relations: dict degree -> list of packed vectors over the slots.
     gen_action(gi, d, slot_index) -> packed vector over slots at d + deg(g).
     """
-    reduced_rows: dict[int, list[tuple[int, int]]] = {}
+    spans: dict[int, F2Span] = {}
     kept: dict[int, list[int]] = {}
     for d, slots in slot_info.items():
-        vecs = relations.get(d, [])
-        mat = F2Matrix.from_rows(vecs, len(slots))
-        red, _, pivots = rref(mat)
-        reduced_rows[d] = [((row & -row).bit_length() - 1, row)
-                           for row in red.data if row]
-        pivset = set(pivots)
+        spans[d] = span = F2Span()
+        for vec in relations.get(d, []):
+            span.add(vec)
+        pivset = set(span.pivots())
         kept[d] = [j for j in range(len(slots)) if j not in pivset]
 
     def project(d: int, vec: int) -> int:
-        for piv, row in reduced_rows.get(d, []):
-            if (vec >> piv) & 1:
-                vec ^= row
+        vec = spans[d].reduce(vec)[0]
         out = 0
         for pos, j in enumerate(kept.get(d, [])):
             if (vec >> j) & 1:

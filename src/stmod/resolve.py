@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2linalg import F2Matrix, eliminate, reduce_leading, rref, solve, vec_support
+from .f2linalg import F2Matrix, eliminate, rref, solve, vec_support
 from .module import GradedModule
 from .steenrod import SubHopfAlgebra
 
@@ -173,9 +173,7 @@ def minimal_resolution(m: GradedModule, s_max: int, t_max: int) -> MinimalResolu
         for t in degrees:
             image, next_kernels[t] = eliminate(_slot_images(m, prev, stage, imgs, t))
             for w in kernels[t]:
-                v, _ = reduce_leading(image, w)
-                if v:
-                    image[v.bit_length() - 1] = (v, 0)
+                if image.add(w):
                     stage.add_generator(t)
                     imgs.append(w)
         stages.append(stage)

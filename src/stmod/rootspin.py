@@ -170,82 +170,14 @@ def cartan_determinant(rs: RootSystem) -> int:
 # Lattices and group forms
 
 
-def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style HNF over the integers (pivots positive, echelon)."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    cols = len(work[0])
-    out = []
-    col = 0
-    while col < cols and work:
-        live = [r for r in work if r[col]]
-        if not live:
-            col += 1
-            continue
-        while True:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            done = True
-            for r in live[1:]:
-                q = r[col] // pivot[col]
-                for j in range(cols):
-                    r[j] -= q * pivot[j]
-                if r[col]:
-                    done = False
-            live = [pivot] + [r for r in live[1:] if r[col]]
-            if done or len(live) == 1:
-                break
-        if pivot[col] < 0:
-            for j in range(cols):
-                pivot[j] = -pivot[j]
-        out.append(pivot)
-        work = [r for r in work if r is not pivot and any(r)]
-        col += 1
-    # reduce upward so entries above pivots are canonical
-    for i in reversed(range(len(out))):
-        pcol = next(j for j in range(cols) if out[i][j])
-        for k in range(i):
-            q = out[k][pcol] // out[i][pcol]
-            if q:
-                for j in range(cols):
-                    out[k][j] -= q * out[i][j]
-    return out
+def _echelon(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Integer row echelon form on the first cols entries of rows.
 
-
-def lattice_member(gens: list[list[int]], target) -> list[int] | None:
-    """Integer coordinates of target over the lattice spanned by gens,
-    or None.  target entries may be Fractions; non-integral targets are
-    never members."""
-    tgt = list(target)
-    for x in tgt:
-        if Fraction(x).denominator != 1:
-            return None
-    tgt = [int(Fraction(x)) for x in tgt]
-    hnf = hermite_normal_form([list(r) for r in gens])
-    cols = len(tgt)
-    residue = list(tgt)
-    for row in hnf:
-        pcol = next(j for j in range(cols) if row[j])
-        if residue[pcol] % row[pcol] != 0:
-            return None
-        q = residue[pcol] // row[pcol]
-        for j in range(cols):
-            residue[j] -= q * row[j]
-    if any(residue):
-        return None
-    # recover coordinates by solving against the original generators
-    return _solve_integer(gens, tgt)
-
-
-def _solve_integer(gens: list[list[int]], tgt: list[int]) -> list[int] | None:
-    """One integer solution x with x . gens = tgt (greedy over an HNF
-    transform); assumes membership has been established."""
-    rows = [list(r) + [1 if i == j else 0 for j in range(len(gens))]
-            for i, r in enumerate(gens)]
-    cols = len(tgt)
-    work = [r for r in rows]
-    # HNF on the left block, carrying the transform
+    Row operations act on whole rows, so entries past cols (a transform,
+    say) are carried along.  Rows are changed in place; returns the pivot
+    rows in column order, each pivot positive.
+    """
+    work = list(rows)
     out = []
     col = 0
     while col < cols and work:
@@ -272,6 +204,44 @@ def _solve_integer(gens: list[list[int]], tgt: list[int]) -> list[int] | None:
         out.append(pivot)
         work = [r for r in work if r is not pivot]
         col += 1
+    return out
+
+
+def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style HNF over the integers (pivots positive, echelon)."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return []
+    cols = len(work[0])
+    out = _echelon(work, cols)
+    # reduce upward so entries above pivots are canonical
+    for i in reversed(range(len(out))):
+        pcol = next(j for j in range(cols) if out[i][j])
+        for k in range(i):
+            q = out[k][pcol] // out[i][pcol]
+            if q:
+                for j in range(cols):
+                    out[k][j] -= q * out[i][j]
+    return out
+
+
+def lattice_member(gens: list[list[int]], target) -> list[int] | None:
+    """Integer coordinates of target over the lattice spanned by gens,
+    or None.  target entries may be Fractions; non-integral targets are
+    never members."""
+    tgt = list(target)
+    for x in tgt:
+        if Fraction(x).denominator != 1:
+            return None
+    return _solve_integer(gens, [int(Fraction(x)) for x in tgt])
+
+
+def _solve_integer(gens: list[list[int]], tgt: list[int]) -> list[int] | None:
+    """One integer solution x with x . gens = tgt (greedy over an echelon
+    form carrying its transform), or None when tgt is not in the lattice."""
+    cols = len(tgt)
+    out = _echelon([list(r) + [1 if i == j else 0 for j in range(len(gens))]
+                    for i, r in enumerate(gens)], cols)
     residue = list(tgt)
     combo = [0] * len(gens)
     for row in out:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .f2linalg import F2Span
+from .f2linalg import F2Span, vec_support
 
 #: Largest n for which the A(n) presets are enabled.  The instances here are
 #: exponentially sized (dim A(n) = 2^((n+1)(n+2)/2)); raise this knob
@@ -410,10 +410,10 @@ class SubHopfAlgebra:
         if e.ambient != self.ambient:
             raise AmbientMismatchError("element from a different ambient algebra")
         vec = _elt_to_vec(e)
-        residual, combo = self._span.reduce(vec, frozenset())
+        residual, combo = self._span.reduce(vec)
         if residual:
             raise ValueError(f"{e} does not lie in {self.name}")
-        return sorted(combo)
+        return vec_support(combo)
 
     def contains_element(self, e: SteenrodElt) -> bool:
         if e.ambient != self.ambient:
@@ -485,10 +485,7 @@ class SubHopfAlgebra:
         return self.basis[top[0]]
 
     def evaluate_word(self, word: Word) -> SteenrodElt:
-        e = unit(self.ambient)
-        for gi in word:
-            e = e * self.generators[gi]
-        return e
+        return _word_value(self.generators, self.ambient, word)
 
     def word_string(self, word: Word) -> str:
         return "1" if not word else "".join(self.gen_names[g] for g in word)
@@ -518,15 +515,15 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
 
     def push(e: SteenrodElt, words: frozenset[Word]):
         vec = _elt_to_vec(e)
-        residual, combo = span.reduce(vec, frozenset())
+        residual, combo = span.reduce(vec)
         if residual == 0:
             return
         # reduce() reports which raw inserted vectors were folded in, so the
         # residual's expression is the new words plus those vectors' words
         expr = words
-        for i in sorted(combo):
+        for i in vec_support(combo):
             expr = expr ^ raw_words[i]
-        span.add(vec, frozenset({len(raw_words)}))
+        span.add(vec, 1 << len(raw_words))
         raw_words.append(words)
         residual_vecs.append(residual)
         resid_exprs.append(expr)
@@ -560,15 +557,16 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
                          basis=tuple(basis), expressions=tuple(exprs),
                          kind=kind, kind_param=kind_param,
                          basis_degrees=tuple(degs[i] for i in order))
-    # rebuild the span so that payloads refer to sorted basis positions
+    # rebuild the span so that combos refer to sorted basis positions
     fresh = F2Span()
     for i, b in enumerate(alg.basis):
-        fresh.add(_elt_to_vec(b), frozenset({i}))
+        fresh.add(_elt_to_vec(b), 1 << i)
     alg._span = fresh
     return alg
 
 
-def _word_value(gens, ambient, word: Word) -> SteenrodElt:
+def _word_value(gens, ambient: int, word: Word) -> SteenrodElt:
+    """The product of gens[i] over the letters i of word (1 when empty)."""
     e = unit(ambient)
     for gi in word:
         e = e * gens[gi]
@@ -633,20 +631,14 @@ class WallRelation:
     label: str
 
     def element(self) -> SteenrodElt:
+        gens = tuple(sq(2 ** i, self.n) for i in range(self.n + 1))
         acc = zero(self.n)
         for w in self.words:
-            acc = acc + _word_value_sq(self.n, w)
+            acc = acc + _word_value(gens, self.n, w)
         return acc
 
     def __str__(self):
         return self.label
-
-
-def _word_value_sq(ambient: int, word: Word) -> SteenrodElt:
-    e = unit(ambient)
-    for i in word:
-        e = e * sq(2 ** i, ambient)
-    return e
 
 
 def _word_label(word: Word) -> str:
@@ -684,12 +676,13 @@ def wall_relations(n: int) -> tuple[WallRelation, ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    gens = tuple(sq(2 ** i, n) for i in range(n + 1))
     rels = [WallRelation(n, frozenset({(0, 0)}), "Sq^1Sq^1")]
     for t in range(1, n + 1):
         lead = [(t, t), (t - 1, t, t - 1), (t - 1, t - 1, t)]
         value = zero(n)
         for w in lead:
-            value = value + _word_value_sq(n, w)
+            value = value + _word_value(gens, n, w)
         kept = [w for w in lead
                 if not any(w[i] == w[i + 1] == 0 for i in range(len(w) - 1))]
         words = frozenset(kept) ^ _express_in_lower(value, t - 1, n)
@@ -697,7 +690,7 @@ def wall_relations(n: int) -> tuple[WallRelation, ...]:
     for r in range(2, n + 1):
         for s in range(0, r - 1):
             lead = [(r, s), (s, r)]
-            value = _word_value_sq(n, (r, s)) + _word_value_sq(n, (s, r))
+            value = _word_value(gens, n, (r, s)) + _word_value(gens, n, (s, r))
             words = frozenset(lead) ^ _express_in_lower(value, r - 1, n)
             rels.append(WallRelation(n, words, _relation_label(words)))
     return tuple(rels)

@@ -216,6 +216,24 @@ def test_unknown_fixture_domain_error(capsys):
     assert "no fixture named" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("extgroups", "--fixture", "A1", "--coeff", "Nope"),
+     "--coeff: no fixture named 'Nope'"),
+    (("tensor", "--fixture", "Joker", "--with", "Nope"),
+     "--with: no fixture named 'Nope'"),
+    (("ext", "--fixture", "F2", "--smax", "-1"), "--smax must be nonnegative"),
+    (("extgroups", "--fixture", "A1", "--coeff", "F2", "--smax", "-1"),
+     "--smax must be nonnegative"),
+    (("loop", "--fixture", "Joker", "--times", "-1"),
+     "--times must be nonnegative"),
+], ids=["extgroups-unknown-coeff", "tensor-unknown-with", "ext-negative-smax",
+        "extgroups-negative-smax", "loop-negative-times"])
+def test_bad_flag_values_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-verb"])

@@ -6,12 +6,30 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from stmod.f2linalg import (F2Matrix, F2Span, eliminate, kernel_basis, rank,
-                            reduce_leading, rref, solve, solve_matrix, vec_bits,
-                            vec_from_bits, vec_support)
+                            rref, solve, solve_matrix, vec_bits, vec_from_bits,
+                            vec_support)
 
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def span_of(vecs: list[int]) -> set[int]:
+    """Every sum of a subset of vecs, by enumeration."""
+    out = {0}
+    for v in vecs:
+        out |= {u ^ v for u in out}
+    return out
+
+
+def greedy_columns(m: F2Matrix) -> list[int]:
+    """Columns not in the span of the columns to their left, by enumeration."""
+    cols = m.columns()
+    return [j for j in range(m.cols) if cols[j] not in span_of(cols[:j])]
+
+
+def supported_on(v: int, allowed: list[int]) -> bool:
+    return all(j in allowed for j in vec_support(v))
 
 
 def naive_rank(dense: list[list[int]]) -> int:
@@ -149,15 +167,15 @@ def test_eliminate_against_rref_oracle(rows, cols, rnd):
     m = F2Matrix.from_rows([rnd.getrandbits(cols) if cols else 0
                             for _ in range(rows)], cols)
     table, kernel = eliminate(m.columns())
-    assert len(table) == rank(m)
+    assert table.dim == rank(m)
     assert len(kernel) == cols - rank(m)
     assert rank(F2Matrix.from_rows(kernel, cols)) == len(kernel)
     assert all(m.mat_vec(x) == 0 for x in kernel)
-    for row, combo in table.values():
+    for row, combo in table.rows():
         assert m.mat_vec(combo) == row
     probe = rnd.getrandbits(rows) if rows else 0
     inside = solve(m, probe) is not None
-    assert (reduce_leading(table, probe)[0] == 0) == inside
+    assert (table.reduce(probe)[0] == 0) == inside
 
 
 def test_vec_support_lists_set_bits():
@@ -185,3 +203,94 @@ def test_total_on_degenerate_shapes():
         reduced, rk, piv = rref(m)
         assert rk == 0 and piv == []
         assert kernel_basis(m) == [1 << j for j in range(m.cols)]
+
+
+# ---------------------------------------------------------------------------
+# the canonical choices every output depends on, against brute force
+
+
+def small_matrix(rows, cols, rnd):
+    return F2Matrix.from_rows([rnd.getrandbits(cols) if cols else 0
+                               for _ in range(rows)], cols)
+
+
+@given(hst.lists(hst.integers(0, 255), max_size=8), hst.integers(0, 255))
+def test_span_reduce_residual_is_canonical(vecs, probe):
+    span = F2Span()
+    for v in vecs:
+        span.add(v)
+    members = span_of(vecs)
+    residual, _ = span.reduce(probe)
+    assert residual & sum(1 << p for p in span.pivots()) == 0
+    assert probe ^ residual in members
+    assert (residual == 0) == (probe in members) == span.contains(probe)
+    # the same coset from any representative, and in any insertion order
+    other = F2Span()
+    for v in reversed(vecs):
+        other.add(v)
+    assert other.pivots() == span.pivots()
+    for m in members:
+        assert span.reduce(probe ^ m)[0] == residual == other.reduce(probe ^ m)[0]
+
+
+@given(hst.lists(hst.integers(0, 63), max_size=8))
+def test_span_combo_names_the_vectors_added(vecs):
+    span = F2Span()
+    for i, v in enumerate(vecs):
+        span.add(v, 1 << i)
+    for row, combo in span.rows():
+        total = 0
+        for i in vec_support(combo):
+            total ^= vecs[i]
+        assert total == row
+
+
+@given(hst.integers(0, 6), hst.integers(0, 7), hst.randoms(use_true_random=False))
+def test_kernel_basis_is_canonical(rows, cols, rnd):
+    """One kernel vector per non-greedy column f: e_f plus the unique
+    combination of greedy columns left of f, whatever the row order."""
+    m = small_matrix(rows, cols, rnd)
+    greedy = greedy_columns(m)
+    want = []
+    for f in range(cols):
+        if f in greedy:
+            continue
+        allowed = [j for j in greedy if j < f] + [f]
+        hits = [v for v in range(1 << cols) if (v >> f) & 1
+                and supported_on(v, allowed) and m.mat_vec(v) == 0]
+        assert len(hits) == 1
+        want.append(hits[0])
+    assert kernel_basis(m) == want
+    shuffled = list(m.data)
+    rnd.shuffle(shuffled)
+    assert kernel_basis(F2Matrix.from_rows(shuffled, cols)) == want
+    assert eliminate(m.columns())[1] == want
+
+
+@given(hst.integers(0, 6), hst.integers(0, 7), hst.randoms(use_true_random=False))
+def test_solve_is_canonical(rows, cols, rnd):
+    """The solution is the unique one supported on the greedy columns."""
+    m = small_matrix(rows, cols, rnd)
+    greedy = greedy_columns(m)
+    b = rnd.getrandbits(rows) if rows else 0
+    hits = [v for v in range(1 << cols)
+            if supported_on(v, greedy) and m.mat_vec(v) == b]
+    assert len(hits) <= 1
+    assert solve(m, b) == (hits[0] if hits else None)
+
+
+@given(hst.integers(0, 6), hst.integers(0, 6), hst.integers(0, 4),
+       hst.randoms(use_true_random=False))
+def test_solve_matrix_is_solve_by_column(rows, cols, rhs, rnd):
+    m = small_matrix(rows, cols, rnd)
+    # half the time a consistent right-hand side, so both outcomes occur
+    if rnd.random() < 0.5:
+        b = m @ small_matrix(cols, rhs, rnd)
+    else:
+        b = small_matrix(rows, rhs, rnd)
+    xs = [solve(m, b.col(j)) for j in range(rhs)]
+    got = solve_matrix(m, b)
+    if any(x is None for x in xs):
+        assert got is None
+    else:
+        assert got == F2Matrix.from_cols(xs, cols)
