@@ -2,8 +2,13 @@
 """Rebuild every shipped fixture from first principles and diff against the
 packaged .mod files.  Demonstrates that the library is reproducible data.
 
+Exits with status 1 when a construction is invalid or is not isomorphic to
+its packaged file.
+
 Run:  python demos/rebuild_fixture_library.py
 """
+
+import sys
 
 from stmod import fixtures, modfile
 from stmod.module import validate
@@ -14,6 +19,7 @@ shipped = set(fixtures.fixture_names())
 print(f"{len(refs)} reference constructions, {len(shipped)} shipped files")
 assert shipped == set(refs), "registry and constructions disagree"
 
+failed = []
 for name in sorted(refs):
     built = refs[name]
     problems = validate(built)
@@ -23,6 +29,11 @@ for name in sorted(refs):
     agree = iso_test(packaged, built) is not None
     status = "byte-identical" if same_file else ("isomorphic" if agree else "MISMATCH")
     print(f"  {name:28s} dim {built.total_dim:3d}  valid={not problems}  {status}")
+    if problems or status == "MISMATCH":
+        failed.append(name)
 
 print()
+if failed:
+    print(f"not certified: {', '.join(failed)}")
+    sys.exit(1)
 print("every packaged fixture is certified against its construction.")

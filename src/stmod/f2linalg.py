@@ -85,13 +85,14 @@ class F2Matrix:
     @staticmethod
     def from_cols(cols: list[int], rows: int) -> "F2Matrix":
         """Build a matrix from packed column vectors."""
-        data = []
-        for i in range(rows):
-            r = 0
-            for j, c in enumerate(cols):
-                if (c >> i) & 1:
-                    r |= 1 << j
-            data.append(r)
+        data = [0] * rows
+        for j, c in enumerate(cols):
+            if c >> rows:
+                raise ValueError("column has entries outside the row range")
+            while c:
+                low = c & -c
+                data[low.bit_length() - 1] |= 1 << j
+                c ^= low
         return F2Matrix(rows, len(cols), tuple(data))
 
     def entry(self, i: int, j: int) -> int:
@@ -105,7 +106,7 @@ class F2Matrix:
         return c
 
     def columns(self) -> list[int]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(self.transpose().data)
 
     def to_dense(self) -> list[list[int]]:
         return [vec_bits(r, self.cols) for r in self.data]
@@ -128,13 +129,10 @@ class F2Matrix:
         data = []
         for r in self.data:
             acc = 0
-            rr = r
-            j = 0
-            while rr:
-                if rr & 1:
-                    acc ^= other.data[j]
-                rr >>= 1
-                j += 1
+            while r:
+                low = r & -r
+                acc ^= other.data[low.bit_length() - 1]
+                r ^= low
             data.append(acc)
         return F2Matrix(self.rows, other.cols, tuple(data))
 
@@ -290,8 +288,8 @@ def solve_matrix(m: F2Matrix, b: F2Matrix) -> F2Matrix | None:
         raise ValueError("row mismatch in matrix solve")
     span = eliminate(m.columns())[0]
     cols = []
-    for j in range(b.cols):
-        residual, x = span.reduce(b.col(j))
+    for bcol in b.columns():
+        residual, x = span.reduce(bcol)
         if residual:
             return None
         cols.append(x)

@@ -123,8 +123,7 @@ class MinimalResolution:
             for t in stage.gen_degrees:
                 if t <= self.t_max:
                     entries[(s, t)] = entries.get((s, t), 0) + 1
-        return ExtChart(entries=entries, s_max=self.s_max, t_max=self.t_max,
-                        certified_t=self.t_max - self.algebra.top_degree)
+        return ExtChart(entries=entries, s_max=self.s_max, t_max=self.t_max)
 
     def is_minimal(self) -> bool:
         """Differentials land in (augmentation ideal) * (previous stage)."""
@@ -191,15 +190,15 @@ def minimal_resolution(m: GradedModule, s_max: int, t_max: int) -> MinimalResolu
 class ExtChart:
     """Bigraded dimensions (s, t) -> dim, with the computed window recorded.
 
-    Entries with t <= certified_t are complete; entries beyond are still
-    exact for these algorithms but kept flagged as provisional at the
-    truncation boundary.
+    Every entry with t <= t_max is complete: the degree-t part of a stage
+    (its slots, the kernel below it and the new generators) only involves
+    generators of degree <= t, so a minimal resolution computed through
+    t_max has found all of them.
     """
 
     entries: dict[tuple[int, int], int]
     s_max: int
     t_max: int
-    certified_t: int
 
     def get(self, s: int, t: int) -> int:
         return self.entries.get((s, t), 0)
@@ -237,7 +236,7 @@ def ext_groups(m: GradedModule, n: GradedModule, s_max: int,
         raise ValueError("modules live over different algebras")
     n_degs = n.degrees()
     if not n_degs:
-        return ExtChart({}, s_max, t_max, t_max)
+        return ExtChart({}, s_max, t_max)
     res_t = t_max + max(0, max(n_degs))
     res = resolution
     if res is None or len(res.stages) <= s_max + 1 or res.t_max < res_t:
@@ -278,7 +277,7 @@ def ext_groups(m: GradedModule, n: GradedModule, s_max: int,
     entries: dict[tuple[int, int], int] = {}
     gen_degrees_all = [gd for st_ in res.stages for gd in st_.gen_degrees]
     if not gen_degrees_all:
-        return ExtChart({}, s_max, t_max, t_max - m.algebra.top_degree)
+        return ExtChart({}, s_max, t_max)
     t_lo = min(gd for gd in gen_degrees_all) - max(n_degs)
     t_hi = min(t_max, max(gen_degrees_all) - min(n_degs))
     for t in range(t_lo, t_hi + 1):
@@ -294,8 +293,7 @@ def ext_groups(m: GradedModule, n: GradedModule, s_max: int,
             if val:
                 entries[(s, t)] = val
             prev_rank = rk
-    return ExtChart(entries, s_max, t_max,
-                    t_max - m.algebra.top_degree)
+    return ExtChart(entries, s_max, t_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Stable-category tools for modules over a finite subalgebra.
 
-The key engine is ``reduce_module``: over a connected Frobenius algebra a
-vector x with Lambda*x != 0 (Lambda the one-dimensional top class, the
-integral) generates a free summand, and the complement is cut out by the
-explicit functional m |-> gamma(a*m).  Stripping all free summands yields
-the stable representative of a module, from which loop functors, stable
+The key engine is ``reduce_module``, which splits every free summand off
+in one step.  Over a connected Frobenius algebra A with integral Lambda
+(the one-dimensional top class, of degree e), pick x_1..x_r with the
+Lambda*x_i a basis of Lambda*m.  They generate a free submodule F, and for
+functionals gamma_1..gamma_r whose matrix gamma_k(Lambda*x_i) is
+invertible, v |-> (a |-> gamma_k(a*v))_k is a module map from m to a sum
+of copies of the dual of A.  On the socle Lambda*F of F it is that
+invertible matrix, so it is injective on F, hence an isomorphism on F;
+its kernel is therefore a complement of F on which Lambda acts as zero.
+Functionals with the same span cut out the same kernel.  The reduced part
+is the stable representative of m, from which loop functors, stable
 isomorphism tests and self-duality shifts all follow.
 """
 
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .f2linalg import F2Matrix, kernel_basis, rref, solve_matrix, vec_support
+from .f2linalg import F2Matrix, F2Span, kernel_basis, rref, solve_matrix
 from . import steenrod
 from .module import (GradedModule, ModuleMap, dual, margolis_homology,
                      regular_module, aug_ideal_module, suspend, tensor)
@@ -92,72 +98,51 @@ def _submodule_on_kernel(m: GradedModule, constraint_rows) -> tuple[GradedModule
 
 
 def reduce_module(m: GradedModule) -> Decomposition:
-    """Split off free summands until the integral acts as zero.
+    """Split off every free summand in one step.
 
-    Deterministic choices: the generator x is the first basis vector (lowest
-    degree first) not killed by the integral; the splitting functional gamma
-    is the first coordinate of Lambda*x.
+    Degree by degree, lowest first, the basis vector e_j of m_d is a
+    generator x when Lambda*e_j is independent of the Lambda-images of the
+    basis vectors before it, and its witness is b |-> b*x.  The splitting
+    functionals on m_(d+e) are the coordinates at the pivots (lowest set
+    bits) of the span of these Lambda-images.  Their matrix against the
+    Lambda*x is invertible, since the span's echelon rows, one per x, are
+    triangular at the pivots.  Every constraint v |-> gamma(b*v) goes into
+    one kernel computation.  The complement is the one that stripping one
+    summand at a time, with the first coordinate of each Lambda*x in
+    turn, would reach.  A module with no free summand is returned as it
+    is.
     """
     alg = m.algebra
-    lam = alg.integral()
-    e = lam.degree()
-    current = m
-    embed = ModuleMap.identity(m)  # current -> m
-    free_degrees: list[int] = []
-    witnesses: list[ModuleMap] = []
+    lam_op = m.element_op(alg.integral())
+    e = alg.top_degree
     reg = regular_module(alg)
-
-    while True:
-        lam_op = current.element_op(lam)
-        found = None
-        for d in current.degrees():
-            mat = lam_op.mat(d)
-            for j in range(mat.cols):
-                if mat.col(j):
-                    found = (d, j, mat.col(j))
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        d, j, top = found
-        gamma_row = 1 << vec_support(top)[0]  # functional on current_(d+e)
-
-        # witness: algebra[d] -> m, b |-> embed(b * x)
-        x = 1 << j
-        wit_mats = {}
-        for bd in reg.degrees():
-            cols = []
-            for bi in alg.basis_by_degree(bd):
-                bx = current.basis_op(bi).apply(d, x)
-                cols.append(embed.apply(bd + d, bx))
-            wit_mats[bd + d] = F2Matrix.from_cols(cols, m.dim(bd + d))
-        witnesses.append(ModuleMap(suspend(reg, d), m, wit_mats))
-        free_degrees.append(d)
-
-        # complement: gamma(a * v) = 0 for every a with deg(a) = d + e - deg(v)
-        constraints: dict[int, list[int]] = {}
-        for vd in current.degrees():
-            need = d + e - vd
-            rows = []
-            for bi in (alg.basis_by_degree(need) if 0 <= need <= alg.top_degree else []):
-                op_mat = current.basis_op(bi).mat(vd)
-                # row: v |-> gamma(b * v)
-                row = 0
-                for col in range(op_mat.cols):
-                    if op_mat.col(col) & gamma_row:
-                        row |= 1 << col
-                rows.append(row)
-            constraints[vd] = rows
-        sub, incl = _submodule_on_kernel(current, constraints)
-        embed = embed.compose(incl)
-        current = sub
-
-    reduced = current
-    dec = Decomposition(module=m, free_part=tuple(sorted(free_degrees)),
-                        reduced_part=reduced, witnesses=tuple(witnesses),
-                        reduced_inclusion=embed)
-    return dec
+    free_part: list[int] = []
+    witnesses: list[ModuleMap] = []
+    constraints: dict[int, list[int]] = {}
+    for d in m.degrees():
+        images = F2Span()
+        for j, lam_x in enumerate(lam_op.mat(d).columns()):
+            if not images.add(lam_x):
+                continue
+            # witness: algebra[d] -> m, b |-> b * x with x = e_j
+            free_part.append(d)
+            witnesses.append(ModuleMap(suspend(reg, d), m, {
+                bd + d: F2Matrix.from_cols(
+                    [m.basis_op(bi).apply(d, 1 << j) for bi in alg.basis_by_degree(bd)],
+                    m.dim(bd + d))
+                for bd in reg.degrees()}))
+        pivots = images.pivots()
+        if not pivots:
+            continue
+        # complement: gamma_p(b * v) = 0 for every pivot p and deg(b) = d + e - deg(v)
+        for vd in m.degrees():
+            for bi in alg.basis_by_degree(d + e - vd):
+                rows = m.basis_op(bi).mat(vd).data
+                constraints.setdefault(vd, []).extend(rows[p] for p in pivots)
+    if not free_part:
+        return Decomposition(m, (), m, (), ModuleMap.identity(m))
+    reduced, inclusion = _submodule_on_kernel(m, constraints)
+    return Decomposition(m, tuple(free_part), reduced, tuple(witnesses), inclusion)
 
 
 def loop(m: GradedModule) -> GradedModule:

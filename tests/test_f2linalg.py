@@ -294,3 +294,26 @@ def test_solve_matrix_is_solve_by_column(rows, cols, rhs, rnd):
         assert got is None
     else:
         assert got == F2Matrix.from_cols(xs, cols)
+
+
+@given(hst.integers(0, 6), hst.integers(0, 6), hst.integers(0, 6),
+       hst.randoms(use_true_random=False))
+def test_products_and_transposes_entrywise(rows, inner, cols, rnd):
+    a, b = small_matrix(rows, inner, rnd), small_matrix(inner, cols, rnd)
+    da, db = a.to_dense(), b.to_dense()
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (rows, cols)
+    assert prod.to_dense() == [[sum(da[i][k] * db[k][j] for k in range(inner)) % 2
+                                for j in range(cols)] for i in range(rows)]
+    dense_t = [[da[i][j] for i in range(rows)] for j in range(inner)]
+    t = a.transpose()
+    assert (t.rows, t.cols) == (inner, rows)
+    assert t.to_dense() == dense_t
+    assert [vec_bits(c, rows) for c in a.columns()] == dense_t
+    packed = [rnd.getrandbits(rows) if rows else 0 for _ in range(cols)]
+    built = F2Matrix.from_cols(packed, rows)
+    assert (built.rows, built.cols) == (rows, cols)
+    assert built.to_dense() == [[(packed[j] >> i) & 1 for j in range(cols)]
+                                for i in range(rows)]
+    with pytest.raises(ValueError):
+        F2Matrix.from_cols(packed + [1 << rows], rows)

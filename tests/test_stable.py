@@ -1,11 +1,13 @@
 """Free-summand stripping, loop functors, isomorphism search, exactness."""
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from stmod import fixtures, module as md, steenrod as st
-from stmod.module import (direct_sum, dual, hopf_quotient, margolis_homology,
-                          quotient_by_left_ideal, regular_module, suspend,
-                          tensor, trivial_module)
+from stmod.f2linalg import rank
+from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
+                          margolis_homology, quotient_by_left_ideal,
+                          regular_module, suspend, tensor, trivial_module)
 from stmod.stable import (InconclusiveIsomorphism, check_exact, hom_space,
                           iso_test, loop, oloop, reduce_module, selfdual_shift)
 from stmod.steenrod import sq
@@ -58,6 +60,52 @@ def test_margolis_vanishing_iff_free_on_fixtures():
         dec = reduce_module(m)
         vanish = (margolis_homology(m, 0) == {} and margolis_homology(m, 1) == {})
         assert vanish == dec.reduced_part.is_zero(), name
+
+
+def integral_rank_degrees(m):
+    """Each degree d, repeated rank(Lambda: m_d -> m_(d+e)) times."""
+    lam = m.element_op(m.algebra.integral())
+    return tuple(d for d in m.degrees() for _ in range(rank(lam.mat(d))))
+
+
+def a2_mod_a1():
+    return hopf_quotient(st.A(2), st.A(1, 2))
+
+
+def test_free_part_is_the_rank_of_the_integral():
+    mods = [a2_mod_a1(), tensor(a2_mod_a1(), a2_mod_a1())]
+    for name in fixtures.fixture_names():
+        m = fixtures.load_fixture(name)
+        mods += [m, tensor(m, m)] if m.total_dim <= 8 else [m]
+    for m in mods:
+        dec = reduce_module(m)
+        assert dec.free_part == integral_rank_degrees(m), m.meta["name"]
+        assert dec.verify(), m.meta["name"]
+
+
+SPLIT_CASES = ["F2", "Joker", "HZ", "kU", "QuestionMark", "DI1", "A1modP11", "A2//A1"]
+
+
+@settings(max_examples=20)
+@given(hst.sampled_from(SPLIT_CASES), hst.integers(-3, 3))
+def test_added_free_summand_splits_off(name, k):
+    m = a2_mod_a1() if name == "A2//A1" else fixtures.load_fixture(name)
+    base = reduce_module(m)
+    dec = reduce_module(direct_sum(m, suspend(regular_module(m.algebra), k)))
+    assert dec.free_part == tuple(sorted(base.free_part + (k,)))
+    assert dec.verify()
+    assert iso_test(dec.reduced_part, base.reduced_part) is not None
+
+
+def test_reduce_at_a2_scale(A2):
+    cases = [(regular_module(A2), (0,)),
+             (tensor(aug_ideal_module(A2), a2_mod_a1()), (4, 6, 7, 10, 11, 13, 17))]
+    for m, free in cases:
+        dec = reduce_module(m)
+        assert dec.free_part == free
+        assert dec.verify()
+        assert dec.reduced_part.total_dim == m.total_dim - 64 * len(free)
+        assert dec.reduced_part.element_op(A2.integral()).is_zero()
 
 
 # ---------------------------------------------------------------------------
