@@ -126,8 +126,11 @@ class F2Matrix:
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        # walk only the set bits of each row that meet a nonzero row of other
+        nonzero = sum(1 << i for i, row in enumerate(other.data) if row)
         data = []
         for r in self.data:
+            r &= nonzero
             acc = 0
             while r:
                 low = r & -r

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .f2linalg import F2Matrix, F2Span, kernel_basis, rref, solve_matrix
+from .f2linalg import (F2Matrix, F2Span, kernel_basis, rref, solve_matrix,
+                       vec_support)
 from . import steenrod
 from .module import (GradedModule, ModuleMap, dual, margolis_homology,
                      regular_module, aug_ideal_module, suspend, tensor)
@@ -162,16 +163,17 @@ def oloop(m: GradedModule) -> GradedModule:
 
 
 def _available_primitives(alg) -> list[int]:
-    out = []
-    for s in range(alg.ambient + 1):
-        q = steenrod.milnor_primitive(s, alg.ambient)
-        if alg.contains_element(q):
-            out.append(s)
-    return out
+    return [s for s in range(alg.ambient + 1)
+            if alg.contains_element(steenrod.milnor_primitive(s, alg.ambient))]
 
 
-def hom_space(m: GradedModule, n: GradedModule) -> list[dict[int, F2Matrix]]:
-    """A basis of the space of degree-0 module maps m -> n."""
+def _hom_solutions(m: GradedModule, n: GradedModule) -> tuple[list[int], list[tuple]]:
+    """The degree-0 maps m -> n as packed solutions of the intertwining system.
+
+    Returns (solutions, blocks): the ``kernel_basis`` of the system, one int
+    per solution over all unknowns, and (degree, offset, rows, cols) for
+    each nonzero block phi_d, whose row r sits at bits offset + r*cols on.
+    """
     if m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
     degs = sorted(set(m.degrees()) | set(n.degrees()))
@@ -181,14 +183,13 @@ def hom_space(m: GradedModule, n: GradedModule) -> list[dict[int, F2Matrix]]:
         offsets[d] = total
         total += m.dim(d) * n.dim(d)
     if total == 0:
-        return []
+        return [], []
 
     def unknown(d, row, col):  # entry (row, col) of phi_d
         return offsets[d] + row * m.dim(d) + col
 
     rows = []
-    for gi in range(len(m.algebra.generators)):
-        g = m.algebra.gen_degrees[gi]
+    for gi, g in enumerate(m.algebra.gen_degrees):
         for d in degs:
             am = m.action(gi, d)          # m_d -> m_{d+g}
             an = n.action(gi, d)          # n_d -> n_{d+g}
@@ -204,48 +205,61 @@ def hom_space(m: GradedModule, n: GradedModule) -> list[dict[int, F2Matrix]]:
                             row ^= 1 << unknown(d + g, r, k)
                     if row:
                         rows.append(row)
-    mat = F2Matrix.from_rows(rows, total)
-    sols = kernel_basis(mat)
-    out = []
-    for v in sols:
-        mats = {}
-        for d in degs:
-            if m.dim(d) and n.dim(d):
-                data = []
-                for r in range(n.dim(d)):
-                    rowbits = 0
-                    for c in range(m.dim(d)):
-                        if (v >> unknown(d, r, c)) & 1:
-                            rowbits |= 1 << c
-                    data.append(rowbits)
-                mats[d] = F2Matrix(n.dim(d), m.dim(d), tuple(data))
-        out.append(mats)
-    return out
+    blocks = [(d, offsets[d], n.dim(d), m.dim(d)) for d in degs if m.dim(d) and n.dim(d)]
+    return kernel_basis(F2Matrix.from_rows(rows, total)), blocks
 
 
-def _combine(basis_mats, mask):
-    mats: dict[int, F2Matrix] = {}
-    i = 0
-    mm = mask
-    while mm:
-        if mm & 1:
-            for d, mat in basis_mats[i].items():
-                mats[d] = mats[d] + mat if d in mats else mat
-        mm >>= 1
-        i += 1
-    return mats
+def _unpack(v: int, blocks) -> dict[int, F2Matrix]:
+    """The matrices phi_d of the packed solution v."""
+    return {d: F2Matrix(rows, cols, tuple((v >> (off + r * cols)) & ((1 << cols) - 1)
+                                          for r in range(rows)))
+            for d, off, rows, cols in blocks}
 
 
-def _is_invertible(mats, m: GradedModule, n: GradedModule) -> bool:
-    for d in m.degrees():
-        mat = mats.get(d)
-        if mat is None:
-            if m.dim(d):
-                return False
-            continue
-        if rref(mat)[1] != mat.rows:
+def hom_space(m: GradedModule, n: GradedModule) -> list[dict[int, F2Matrix]]:
+    """A basis of the space of degree-0 module maps m -> n.
+
+    Each element is a dict degree -> matrix of phi_d, unpacked from the
+    kernel basis of the intertwining system an @ phi_d = phi_(d+g) @ am
+    (one unknown per matrix entry); degrees where m or n is zero are left
+    out.
+    """
+    sols, blocks = _hom_solutions(m, n)
+    return [_unpack(v, blocks) for v in sols]
+
+
+def _is_invertible(v: int, blocks) -> bool:
+    """Whether every (square) block of the packed map v has full rank; the
+    rows of each block go into an F2Span, which stops at a dependent one."""
+    for _, off, rows, cols in blocks:
+        span, mask = F2Span(), (1 << cols) - 1
+        if not all(span.add((v >> (off + r * cols)) & mask) for r in range(rows)):
             return False
     return True
+
+
+def _candidates(sols: list[int], budget: int, seed: int):
+    """iso_test's candidate maps as packed ints, in search order."""
+    yield from sols
+    h = len(sols)
+    if (1 << h) - 1 <= budget:
+        prefix = [0]  # prefix[i] = sols[0] ^ ... ^ sols[i-1]
+        for v in sols:
+            prefix.append(prefix[-1] ^ v)
+        v = 0
+        for mask in range(1, 1 << h):
+            # mask and mask - 1 differ in bits 0..tz(mask)
+            v ^= prefix[(mask & -mask).bit_length()]
+            if mask & (mask - 1):
+                yield v
+        return
+    rng = Random(seed)
+    for _ in range(budget):
+        v = 0
+        for i in vec_support(rng.getrandbits(h)):
+            v ^= sols[i]
+        if v:
+            yield v
 
 
 def iso_test(m: GradedModule, n: GradedModule, *,
@@ -253,11 +267,16 @@ def iso_test(m: GradedModule, n: GradedModule, *,
     """Search for an isomorphism m -> n.
 
     Cheap invariants (graded dimensions, Margolis homology, free ranks)
-    rule out quickly; otherwise the intertwining linear system is solved
-    and its solution space searched for an invertible element.  A returned
-    map is verified; None is a certified negative.  When the solution space
-    is too large to sweep and random probing fails, the search raises
-    InconclusiveIsomorphism rather than guessing.
+    rule out quickly.  Otherwise the intertwining system is solved once
+    and the search runs on its packed solutions s_1..s_h: a candidate is
+    the xor of some of them, invertible when each degree's block has
+    independent rows, and only the winner is unpacked into a verified
+    ModuleMap.  Single solutions come first.  When all 2^h - 1 masks fit
+    in ``budget`` they are swept in ascending order, and finding none is
+    a certified negative (None).  Otherwise ``budget`` masks are drawn by
+    Random(seed).getrandbits(h); if none is invertible the search raises
+    InconclusiveIsomorphism rather than guess.  SO8modSp2's self-duality
+    (h = 22) is decided by this seeded probing.
     """
     if m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
@@ -276,31 +295,15 @@ def iso_test(m: GradedModule, n: GradedModule, *,
                 return None
     except steenrod.NotFrobeniusError:
         pass
-    basis_mats = hom_space(m, n)
-    h = len(basis_mats)
+    sols, blocks = _hom_solutions(m, n)
+    h = len(sols)
     if h == 0:
         return None
-    # single solutions first, then the full sweep or random probing
-    for i in range(h):
-        mats = basis_mats[i]
-        if _is_invertible(mats, m, n):
-            return ModuleMap(m, n, mats)
+    for v in _candidates(sols, budget, seed):
+        if _is_invertible(v, blocks):
+            return ModuleMap(m, n, _unpack(v, blocks))
     if (1 << h) - 1 <= budget:
-        for mask in range(1, 1 << h):
-            if mask.bit_count() == 1:
-                continue
-            mats = _combine(basis_mats, mask)
-            if _is_invertible(mats, m, n):
-                return ModuleMap(m, n, mats)
         return None
-    rng = Random(seed)
-    for _ in range(budget):
-        mask = rng.getrandbits(h)
-        if mask == 0:
-            continue
-        mats = _combine(basis_mats, mask)
-        if _is_invertible(mats, m, n):
-            return ModuleMap(m, n, mats)
     raise InconclusiveIsomorphism(
         f"no isomorphism found within budget (hom space dimension {h})")
 

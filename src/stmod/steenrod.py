@@ -714,6 +714,7 @@ def integral(alg: SubHopfAlgebra) -> SteenrodElt:
 # juxtaposition (whitespace or '*'), sums with '+'.
 
 _TOKEN = re.compile(r"Sq\^(\d+)|Sq\(([\d,\s]*)\)|P\(\s*1\s*,\s*(\d+)\s*\)|1|\S")
+_MILNOR_ENTRY = re.compile(r"\s*\d+\s*")
 
 
 def parse_element(text: str, ambient: int) -> SteenrodElt:
@@ -736,7 +737,9 @@ def parse_element(text: str, ambient: int) -> SteenrodElt:
             if m.group(1) is not None:
                 factor = factor * sq(int(m.group(1)), ambient)
             elif m.group(2) is not None:
-                parts = [p for p in m.group(2).replace(" ", "").split(",") if p]
+                parts = m.group(2).split(",") if m.group(2).strip() else []
+                if not all(_MILNOR_ENTRY.fullmatch(p) for p in parts):
+                    raise ValueError(f"each entry of {tok!r} must be one integer")
                 factor = factor * Sq(*[int(p) for p in parts], ambient=ambient)
             elif m.group(3) is not None:
                 factor = factor * milnor_primitive(int(m.group(3)), ambient)

@@ -1,6 +1,9 @@
 """The stmod command: verbs, exit codes, output formats."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +135,14 @@ def test_quotient_rejects_empty_summand(capsys):
     assert "empty summand" in err
 
 
+def test_quotient_rejects_merged_milnor_entries(capsys):
+    # Sq(1 1) used to read as Sq(11) and kill the wrong element
+    code, out, err = run(capsys, "quotient", "--algebra", "A(3)",
+                         "--kill", "Sq(1 1)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "one integer" in err
+
+
 def test_define_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "define", "--fixture", "Joker")
     assert code == 0
@@ -247,3 +258,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("s,t,dim")
+
+
+def readme_examples():
+    """(argv, expected first output line or None) for each ``stmod`` line
+    of the sh block under "The command line" in README.md.  A piped line
+    contributes its first command; a following ``#  text`` comment is the
+    expected first line, with ``...`` matching anything."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## The command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("stmod "):
+            continue
+        argv = shlex.split(line.split(" | ", 1)[0], comments=True)[1:]
+        after = lines[i + 1] if i + 1 < len(lines) else ""
+        expected = after[3:] if after.startswith("#  ") else None
+        examples.append(pytest.param(argv, expected, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_examples_run(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if expected is not None:
+        pattern = ".*".join(re.escape(part) for part in expected.split("..."))
+        assert re.fullmatch(pattern, out.splitlines()[0])

@@ -138,3 +138,10 @@ def test_repeated_action_target_is_located():
     err = _located_error("module X over A(1)\ngenerator a degree 0\n"
                          "generator b degree 2\naction Sq^2 a = b + b\n")
     assert err.line == 4 and "repeated" in str(err)
+
+
+def test_malformed_milnor_tuple_in_action_is_located():
+    # Sq(,1) used to read as Sq(1) = Sq^1 and define the action silently
+    err = _located_error("module X over A(1)\ngenerator a degree 0\n"
+                         "generator b degree 1\naction Sq(,1) a = b\n")
+    assert err.line == 4 and "one integer" in str(err)

@@ -1,13 +1,18 @@
 """Free-summand stripping, loop functors, isomorphism search, exactness."""
 
+from functools import reduce
+from operator import xor
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from stmod import fixtures, module as md, steenrod as st
-from stmod.f2linalg import rank
+from stmod.f2linalg import F2Matrix, rank
 from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
                           margolis_homology, quotient_by_left_ideal,
-                          regular_module, suspend, tensor, trivial_module)
+                          regular_module, suspend, tensor, trivial_module,
+                          ModuleMap)
 from stmod.stable import (InconclusiveIsomorphism, check_exact, hom_space,
                           iso_test, loop, oloop, reduce_module, selfdual_shift)
 from stmod.steenrod import sq
@@ -183,6 +188,83 @@ def test_zero_modules_isomorphic(A1):
 
 def test_hom_space_of_trivial(f2_a1):
     assert len(hom_space(f2_a1, f2_a1)) == 1
+
+
+def reference_search(m, n, budget=40000, seed=2024):
+    """iso_test's candidate order, written out on the public hom_space:
+    single solutions, then ascending masks when all 2^h - 1 fit in the
+    budget, else Random(seed).getrandbits(h) draws.  Returns the data of
+    the first invertible candidate per degree and the branch taken."""
+    basis = hom_space(m, n)
+    h = len(basis)
+    sweep = (1 << h) - 1 <= budget
+    masks = [1 << i for i in range(h)]
+    if sweep:
+        masks += [k for k in range(1, 1 << h) if k & (k - 1)]
+    else:
+        rng = Random(seed)
+        masks += [rng.getrandbits(h) for _ in range(budget)]
+    for mask in masks:
+        if not mask:
+            continue
+        picked = [b for i, b in enumerate(basis) if mask >> i & 1]
+        data = {d: tuple(reduce(xor, rows) for rows in zip(*(b[d].data for b in picked)))
+                for d in basis[0]}
+        if all(rank(F2Matrix.from_rows(rows, len(rows))) == len(rows)
+               for rows in data.values()):
+            return data, mask, sweep
+    return None, None, sweep
+
+
+def map_data(f):
+    return {d: mat.data for d, mat in f.mats.items()}
+
+
+def test_iso_search_matches_reference_on_full_sweep():
+    small = [fixtures.load_fixture(name) for name in fixtures.fixture_names()]
+    small = [m for m in small if m.algebra.name == "A(1)" and m.total_dim <= 5]
+    beyond_singles = 0
+    for i, x in enumerate(small):
+        for y in small[i + 1:]:
+            a, b = tensor(x, y), tensor(y, x)
+            if len(hom_space(a, b)) > 15:
+                continue
+            want, mask, sweep = reference_search(a, b)
+            assert sweep and want is not None
+            assert map_data(iso_test(a, b)) == want
+            beyond_singles += mask & (mask - 1) != 0
+    assert beyond_singles >= 5
+
+
+def so8_dual_pair():
+    m = fixtures.load_fixture("SO8modSp2")
+    return dual(m), suspend(m, -18)
+
+
+def test_iso_search_matches_reference_on_probing():
+    a, b = so8_dual_pair()
+    assert len(hom_space(a, b)) == 22
+    want, mask, sweep = reference_search(a, b)
+    assert not sweep and mask & (mask - 1)
+    assert map_data(iso_test(a, b)) == want
+
+
+def test_iso_search_out_of_budget_is_inconclusive():
+    a, b = so8_dual_pair()
+    with pytest.raises(InconclusiveIsomorphism, match="dimension 22"):
+        iso_test(a, b, budget=0)
+
+
+def test_hom_space_elements_are_module_maps(joker, hz):
+    a, b = so8_dual_pair()
+    ku = fixtures.load_fixture("kU")
+    pairs = [(joker, joker), (hz, tensor(hz, ku)), (tensor(hz, ku), hz),
+             (a, b), (regular_module(joker.algebra), joker)]
+    for m, n in pairs:
+        basis = hom_space(m, n)
+        assert basis
+        for mats in basis:
+            assert ModuleMap(m, n, mats)._equivariance_defect() is None
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,16 @@ def test_parse_element_rejects_empty_summand():
     assert parse_element("1 + 0", 1).terms == {()}
 
 
+def test_parse_element_milnor_entries_are_single_integers():
+    for text in ("Sq(1 1)", "Sq(1,,1)", "Sq(,1)", "Sq(1,)", "Sq(1, 2 3)"):
+        with pytest.raises(ValueError, match="one integer"):
+            parse_element(text, 3)
+    assert parse_element("Sq(1, 1)", 3).terms == {(1, 1)}
+    assert parse_element("Sq( 0 ,1 )", 3).terms == {(0, 1)}
+    assert parse_element("Sq(11)", 3).terms == {(11,)}
+    assert parse_element("Sq()", 3).terms == {()}
+
+
 def test_str_round_trip():
     e = sq(3, 1) + milnor_primitive(1, 1)
     assert parse_element(str(e), 1).terms == e.terms
