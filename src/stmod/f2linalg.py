@@ -77,12 +77,6 @@ class F2Matrix:
         return F2Matrix(len(data), cols, data)
 
     @staticmethod
-    def from_dense(entries: list[list[int]], cols: int | None = None) -> "F2Matrix":
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        return F2Matrix(len(entries), cols, tuple(vec_from_bits(row) for row in entries))
-
-    @staticmethod
     def from_cols(cols: list[int], rows: int) -> "F2Matrix":
         """Build a matrix from packed column vectors."""
         data = [0] * rows
@@ -148,11 +142,6 @@ class F2Matrix:
             if (r & v).bit_count() & 1:
                 out |= 1 << i
         return out
-
-    def stack_rows(self, other: "F2Matrix") -> "F2Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in row stack")
-        return F2Matrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.data)

@@ -122,15 +122,17 @@ def reduce_module(m: GradedModule) -> Decomposition:
     constraints: dict[int, list[int]] = {}
     for d in m.degrees():
         images = F2Span()
+        op_cols = None  # op_cols[bi][j] = basis[bi] * e_j, read once per degree
         for j, lam_x in enumerate(lam_op.mat(d).columns()):
             if not images.add(lam_x):
                 continue
+            if op_cols is None:
+                op_cols = [m.basis_op(bi).mat(d).columns() for bi in range(alg.dim)]
             # witness: algebra[d] -> m, b |-> b * x with x = e_j
             free_part.append(d)
             witnesses.append(ModuleMap(suspend(reg, d), m, {
                 bd + d: F2Matrix.from_cols(
-                    [m.basis_op(bi).apply(d, 1 << j) for bi in alg.basis_by_degree(bd)],
-                    m.dim(bd + d))
+                    [op_cols[bi][j] for bi in alg.basis_by_degree(bd)], m.dim(bd + d))
                 for bd in reg.degrees()}))
         pivots = images.pivots()
         if not pivots:

@@ -329,8 +329,7 @@ def _elt_to_vec(e: SteenrodElt) -> int:
 
 def _vec_to_elt(v: int, ambient: int) -> SteenrodElt:
     basis = milnor_basis(ambient)
-    terms = {basis[j] for j in range(v.bit_length()) if (v >> j) & 1}
-    return SteenrodElt(ambient, frozenset(terms))
+    return SteenrodElt(ambient, frozenset(basis[j] for j in vec_support(v)))
 
 
 Word = tuple[int, ...]  # indices into the generator list
@@ -391,14 +390,14 @@ class SubHopfAlgebra:
     def basis_dim(self, d: int) -> int:
         return len(self._by_degree.get(d, ()))
 
+    # the basis is a deterministic function of the ambient and the generators
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubHopfAlgebra)
                 and self.ambient == other.ambient
-                and self.basis == other.basis
                 and self.generators == other.generators)
 
     def __hash__(self):
-        return hash((self.ambient, self.generators, self.basis))
+        return hash((self.ambient, self.generators))
 
     def __str__(self):
         return self.name
@@ -495,9 +494,15 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
                        kind="custom", kind_param=-1) -> SubHopfAlgebra:
     """Close a generator set multiplicatively inside A(ambient).
 
-    Breadth-first over right multiplication by the generators; each new
-    echelon vector remembers the word combination that produced it, with
-    words evaluating to zero pruned from the recorded expressions.
+    Breadth-first over right multiplication by the generators, on packed
+    vectors over ``milnor_basis(ambient)``.  Right multiplication by
+    ``gens[gi]`` xors one column per set bit, each column computed once
+    per (Milnor term, generator) and checked against the ambient profile.
+    The queue holds one word per entry with its value, memoised by
+    prefix: value(w + (gi,)) = value(w) * gens[gi].  A word is queued only
+    when its value is independent of the span so far, so no recorded word
+    evaluates to zero.  Each new echelon vector remembers the word
+    combination that produced it.
     """
     gens = tuple(gens)
     for g in gens:
@@ -507,60 +512,64 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
             raise ValueError("generators must be homogeneous of positive degree")
     if names is None:
         names = tuple(str(g) for g in gens)
+    basis_terms = milnor_basis(ambient)
+    index = _basis_index(ambient)
+    columns: list[dict[int, int]] = [{} for _ in gens]  # bit -> bit's term * gens[gi]
+
+    def column(gi: int, bit: int) -> int:
+        col = 0
+        for s in gens[gi].terms:
+            for t in _term_product_cached(basis_terms[bit], s):
+                if t not in index:
+                    raise OutOfAmbientError(f"product escaped A({ambient}) at Sq{t}")
+                col ^= 1 << index[t]
+        columns[gi][bit] = col
+        return col
+
     span = F2Span()
-    raw_words: list[frozenset[Word]] = []   # expression of the i-th inserted vector
+    words: list[Word] = []              # word of the i-th inserted vector
     residual_vecs: list[int] = []
     resid_exprs: list[frozenset[Word]] = []
-    queue: list[tuple[SteenrodElt, frozenset[Word]]] = []
+    queue: list[tuple[int, Word]] = []
 
-    def push(e: SteenrodElt, words: frozenset[Word]):
-        vec = _elt_to_vec(e)
+    def push(vec: int, word: Word):
         residual, combo = span.reduce(vec)
         if residual == 0:
             return
         # reduce() reports which raw inserted vectors were folded in, so the
-        # residual's expression is the new words plus those vectors' words
-        expr = words
-        for i in vec_support(combo):
-            expr = expr ^ raw_words[i]
-        span.add(vec, 1 << len(raw_words))
-        raw_words.append(words)
+        # residual's expression is the new word plus those vectors' words
+        span.add(vec, 1 << len(words))
+        resid_exprs.append(frozenset({word}).union(words[i] for i in vec_support(combo)))
+        words.append(word)
         residual_vecs.append(residual)
-        resid_exprs.append(expr)
-        queue.append((e, words))
+        queue.append((vec, word))
 
-    push(unit(ambient), frozenset({()}))
-    qi = 0
-    while qi < len(queue):
-        e, words = queue[qi]
-        qi += 1
-        for gi, g in enumerate(gens):
-            child = e * g
-            if child.is_zero():
-                continue
-            push(child, frozenset(w + (gi,) for w in words))
+    push(1 << index[()], ())
+    for vec, word in queue:
+        bits = vec_support(vec)
+        for gi, cols in enumerate(columns):
+            child = 0
+            for bit in bits:
+                col = cols.get(bit)
+                child ^= column(gi, bit) if col is None else col
+            if child:
+                push(child, word + (gi,))
 
     # canonical order: by degree, then by echelon vector
     elts = [_vec_to_elt(v, ambient) for v in residual_vecs]
     degs = [e.degree() for e in elts]
     order = sorted(range(len(elts)), key=lambda i: (degs[i], residual_vecs[i]))
-    basis = []
-    exprs = []
-    for i in order:
-        live = frozenset(w for w in resid_exprs[i]
-                         if not _word_value(gens, ambient, w).is_zero())
-        basis.append(elts[i])
-        exprs.append(live)
     alg = SubHopfAlgebra(ambient=ambient,
                          name=name or ("F_2(" + ", ".join(names) + ")"),
                          generators=gens, gen_names=tuple(names),
-                         basis=tuple(basis), expressions=tuple(exprs),
+                         basis=tuple(elts[i] for i in order),
+                         expressions=tuple(resid_exprs[i] for i in order),
                          kind=kind, kind_param=kind_param,
                          basis_degrees=tuple(degs[i] for i in order))
     # rebuild the span so that combos refer to sorted basis positions
     fresh = F2Span()
-    for i, b in enumerate(alg.basis):
-        fresh.add(_elt_to_vec(b), 1 << i)
+    for i, j in enumerate(order):
+        fresh.add(residual_vecs[j], 1 << i)
     alg._span = fresh
     return alg
 

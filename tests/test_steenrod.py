@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as hst
 
 from stmod import fixtures, steenrod as st
+from stmod.f2linalg import F2Span, vec_support
 from stmod.steenrod import (Sq, antipode, coproduct, milnor_primitive,
                             milnor_product, parse_element, sq, unit, zero)
 
@@ -224,6 +226,108 @@ def test_expressions_evaluate_back():
             for word in alg.expressions[i]:
                 acc = acc + alg.evaluate_word(word)
             assert acc.terms == b.terms, (alg.name, i)
+
+
+def reference_closure(gens, ambient):
+    """Breadth-first closure over public SteenrodElt products, words of value
+    zero pruned at the end: (basis terms, basis degrees, expressions)."""
+    basis_terms = st.milnor_basis(ambient)
+    index = {t: i for i, t in enumerate(basis_terms)}
+    span = F2Span()
+    raw_words, found, queue = [], [], []
+
+    def push(e, words):
+        vec = sum(1 << index[t] for t in e.terms)
+        residual, combo = span.reduce(vec)
+        if residual == 0:
+            return
+        expr = words
+        for i in vec_support(combo):
+            expr = expr ^ raw_words[i]
+        span.add(vec, 1 << len(raw_words))
+        raw_words.append(words)
+        found.append((residual, expr))
+        queue.append((e, words))
+
+    def value(word):
+        e = unit(ambient)
+        for gi in word:
+            e = e * gens[gi]
+        return e
+
+    push(unit(ambient), frozenset({()}))
+    for e, words in queue:
+        for gi, g in enumerate(gens):
+            child = e * g
+            if not child.is_zero():
+                push(child, frozenset(w + (gi,) for w in words))
+    rows = []
+    for residual, expr in found:
+        terms = frozenset(basis_terms[j] for j in vec_support(residual))
+        degree = st.SteenrodElt(ambient, terms).degree()
+        live = frozenset(w for w in expr if not value(w).is_zero())
+        rows.append((degree, residual, terms, live))
+    rows.sort(key=lambda row: row[:2])
+    return ([row[2] for row in rows], tuple(row[0] for row in rows),
+            tuple(row[3] for row in rows))
+
+
+def assert_closure_matches_reference(gens, ambient):
+    alg = st.subalgebra_closure(gens, ambient)
+    ref_terms, ref_degrees, ref_exprs = reference_closure(tuple(gens), ambient)
+    assert [b.terms for b in alg.basis] == ref_terms
+    assert alg.basis_degrees == ref_degrees
+    assert alg.expressions == ref_exprs
+
+
+@hst.composite
+def homogeneous_generators(draw):
+    ambient = draw(hst.sampled_from([1, 2]))
+    by_degree = {}
+    for t in st.milnor_basis(ambient)[1:]:
+        by_degree.setdefault(st.milnor_degree(t), []).append(t)
+    gens = []
+    for _ in range(draw(hst.integers(1, 3))):
+        pool = by_degree[draw(hst.sampled_from(sorted(by_degree)))]
+        chosen = draw(hst.sets(hst.sampled_from(pool), min_size=1))
+        gens.append(st.SteenrodElt(ambient, frozenset(chosen)))
+    return gens, ambient
+
+
+@given(homogeneous_generators())
+def test_closure_matches_reference_on_random_generators(case):
+    assert_closure_matches_reference(*case)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: st.A(0), lambda: st.A(1), lambda: st.A(2),
+    lambda: st.E(0), lambda: st.E(1), lambda: st.E(2), lambda: st.E(3),
+    lambda: st.A(0, 3), lambda: st.A(1, 3), lambda: st.A(2, 3),
+    fixtures.algebra_B, fixtures.algebra_P11,
+], ids=["A0", "A1", "A2", "E0", "E1", "E2", "E3", "A0<A3", "A1<A3", "A2<A3",
+        "B", "P11"])
+def test_closure_matches_reference_on_presets(make):
+    alg = make()
+    assert_closure_matches_reference(alg.generators, alg.ambient)
+
+
+def test_a3_expressions_evaluate_back_on_a_sample():
+    alg = st.A(3)
+    for i in random.Random(6).sample(range(alg.dim), 48):
+        acc = zero(3)
+        for word in alg.expressions[i]:
+            value = alg.evaluate_word(word)
+            assert not value.is_zero(), (i, word)
+            acc = acc + value
+        assert acc.terms == alg.basis[i].terms, i
+
+
+def test_subalgebras_compare_by_ambient_and_generators():
+    fresh = st.subalgebra_closure(st.A(2).generators, 2)
+    assert fresh is not st.A(2)
+    assert fresh == st.A(2) and hash(fresh) == hash(st.A(2))
+    assert st.A(1) != st.A(1, 2)
+    assert st.A(1) != st.E(1)
 
 
 def test_e1_preset():
