@@ -86,24 +86,19 @@ def _basis_index(n: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(milnor_basis(n))}
 
 
-def multinomial_odd(parts: tuple[int, ...]) -> bool:
-    """Parity of a multinomial coefficient: odd iff the binary digits of
-    the parts are pairwise disjoint (no carries in the sum)."""
-    total = 0
-    folded = 0
-    for p in parts:
-        total += p
-        folded ^= p
-    return total == folded
-
-
+@lru_cache(maxsize=None)
 def _term_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Product of two Milnor basis elements, as a set of basis terms (mod 2).
 
     Enumerates the allowable matrices X = (x_ij) with row sums
     sum_j x_ij 2^j = r_i and column sums sum_i x_ij = s_j; each matrix
     contributes Sq(t_1, t_2, ...) with t_k the k-th antidiagonal sum,
-    weighted by the product of the antidiagonal multinomials mod 2.
+    weighted by the product of the antidiagonal multinomials mod 2.  A
+    multinomial is odd iff its parts have pairwise disjoint binary digits,
+    so ``mask[k]`` ORs the entries on antidiagonal k and a branch is cut at
+    its first carry: inner entries as they are placed, each row residue
+    x_i0 when its row closes, the column residues x_0j at the end, where
+    mask[k] has become t_k.
     """
     m, n = len(r), len(s)
     if m == 0:
@@ -111,59 +106,38 @@ def _term_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int
     if n == 0:
         return frozenset({r})
     out: set[tuple[int, ...]] = set()
-    inner = [[0] * (n + 1) for _ in range(m + 1)]  # inner[i][j] for i,j >= 1
-    col_used = [0] * (n + 1)
-
-    def finish():
-        # boundary entries: x_i0 = row residue, x_0j = column residue
-        x0 = [0] + [s[j - 1] - col_used[j] for j in range(1, n + 1)]
-        diag_t = []
-        for k in range(1, m + n + 1):
-            parts = []
-            for i in range(max(0, k - n), min(k, m) + 1):
-                j = k - i
-                if i == 0:
-                    parts.append(x0[j])
-                elif j == 0:
-                    parts.append(row_residue[i])
-                else:
-                    parts.append(inner[i][j])
-            if not multinomial_odd(tuple(parts)):
-                return
-            diag_t.append(sum(parts))
-        t = _normalize(tuple(diag_t))
-        if t in out:
-            out.remove(t)
-        else:
-            out.add(t)
-
-    row_residue = [0] * (m + 1)
+    mask = [0] * (m + n + 1)
+    col_left = [0, *s]  # col_left[j] = s_j minus the inner entries of column j
 
     def place(i, j, rem):
         if j > n:
-            row_residue[i] = rem
-            if i == m:
-                finish()
-            else:
+            if rem & mask[i]:
+                return
+            mask[i] |= rem
+            if i < m:
                 place(i + 1, 1, r[i])
+            elif not any(col_left[k] & mask[k] for k in range(1, n + 1)):
+                t = _normalize(tuple(mask[k] | col_left[k] if k <= n else mask[k]
+                                     for k in range(1, m + n + 1)))
+                if t in out:
+                    out.remove(t)
+                else:
+                    out.add(t)
+            mask[i] ^= rem
             return
-        w = 1 << j
-        x = 0
-        while x * w <= rem and col_used[j] + x <= s[j - 1]:
-            inner[i][j] = x
-            col_used[j] += x
-            place(i, j + 1, rem - x * w)
-            col_used[j] -= x
-            x += 1
-        inner[i][j] = 0
+        d = i + j
+        seen = mask[d]
+        left = col_left[j]
+        for x in range(min(rem >> j, left) + 1):
+            if not x & seen:
+                mask[d] = seen | x
+                col_left[j] = left - x
+                place(i, j + 1, rem - (x << j))
+        mask[d] = seen
+        col_left[j] = left
 
     place(1, 1, r[0])
     return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _term_product_cached(r, s):
-    return _term_product(r, s)
 
 
 def _term_coproduct(r: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -225,7 +199,7 @@ class SteenrodElt:
         acc: set[tuple[int, ...]] = set()
         for a in self.terms:
             for b in other.terms:
-                acc ^= _term_product_cached(a, b)
+                acc ^= _term_product(a, b)
         for t in acc:
             # A(n) is closed under the product; a profile escape would mean
             # the ambient tags were wrong in the first place
@@ -303,7 +277,7 @@ def _term_antipode(t: tuple[int, ...], ambient: int) -> frozenset[tuple[int, ...
             continue  # proper part only
         chi_a = _term_antipode(a, ambient)
         for ca in chi_a:
-            acc ^= _term_product_cached(ca, b)
+            acc ^= _term_product(ca, b)
     return frozenset(acc)
 
 
@@ -390,11 +364,13 @@ class SubHopfAlgebra:
     def basis_dim(self, d: int) -> int:
         return len(self._by_degree.get(d, ()))
 
-    # the basis is a deterministic function of the ambient and the generators
+    # a closure's basis is a function of the ambient and the generators, so
+    # the hash leaves it out; equality still compares it for hand-built ones
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SubHopfAlgebra)
-                and self.ambient == other.ambient
-                and self.generators == other.generators)
+        return self is other or (isinstance(other, SubHopfAlgebra)
+                                 and self.ambient == other.ambient
+                                 and self.generators == other.generators
+                                 and self.basis == other.basis)
 
     def __hash__(self):
         return hash((self.ambient, self.generators))
@@ -519,7 +495,7 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
     def column(gi: int, bit: int) -> int:
         col = 0
         for s in gens[gi].terms:
-            for t in _term_product_cached(basis_terms[bit], s):
+            for t in _term_product(basis_terms[bit], s):
                 if t not in index:
                     raise OutOfAmbientError(f"product escaped A({ambient}) at Sq{t}")
                 col ^= 1 << index[t]

@@ -1,5 +1,7 @@
 """Milnor arithmetic, subalgebra closures, Wall relations."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -56,6 +58,104 @@ def test_associativity_random_a2_triples():
     for _ in range(40):
         a, b, c = (Sq(*rng.choice(basis), ambient=2) for _ in range(3))
         assert ((a * b) * c).terms == (a * (b * c)).terms
+
+
+def test_textbook_products():
+    assert terms(Sq(1, ambient=2) * Sq(2, ambient=2)) == {(3,)}
+    assert terms(Sq(2, ambient=2) * Sq(1, ambient=2)) == {(3,), (0, 1)}
+    assert terms(Sq(2, ambient=2) * Sq(2, ambient=2)) == {(1, 1)}
+
+
+def reference_term_product(r, s):
+    """Milnor's product with no pruning: every allowable matrix is built in
+    full, then weighted by the parity of its antidiagonal multinomials."""
+
+    def multinomial_odd(parts):
+        # odd iff the parts have pairwise disjoint binary digits
+        return sum(parts) == functools.reduce(operator.xor, parts, 0)
+
+    m, n = len(r), len(s)
+    if m == 0:
+        return frozenset({s})
+    if n == 0:
+        return frozenset({r})
+    out = set()
+    x = [[0] * (n + 1) for _ in range(m + 1)]
+    col_used = [0] * (n + 1)
+
+    def finish():
+        for j in range(1, n + 1):
+            x[0][j] = s[j - 1] - col_used[j]
+        t = []
+        for k in range(1, m + n + 1):
+            parts = [x[i][k - i] for i in range(max(0, k - n), min(k, m) + 1)]
+            if not multinomial_odd(parts):
+                return
+            t.append(sum(parts))
+        while t and t[-1] == 0:
+            t.pop()
+        out.symmetric_difference_update({tuple(t)})
+
+    def place(i, j, rem):
+        if j > n:
+            x[i][0] = rem
+            if i == m:
+                finish()
+            else:
+                place(i + 1, 1, r[i])
+            return
+        for v in range(min(rem >> j, s[j - 1] - col_used[j]) + 1):
+            x[i][j] = v
+            col_used[j] += v
+            place(i, j + 1, rem - (v << j))
+            col_used[j] -= v
+        x[i][j] = 0
+
+    place(1, 1, r[0])
+    return frozenset(out)
+
+
+def test_product_kernel_matches_reference_on_all_a2_pairs():
+    basis = st.milnor_basis(2)
+    for a in basis:
+        for b in basis:
+            assert st._term_product(a, b) == reference_term_product(a, b), (a, b)
+
+
+def test_product_kernel_matches_reference_on_a3_generators():
+    gens = [(1 << k,) for k in range(4)] + [(0,) * k + (1,) for k in range(4)]
+    for a in st.milnor_basis(3):
+        for g in gens:
+            assert st._term_product(a, g) == reference_term_product(a, g), (a, g)
+
+
+def test_product_kernel_matches_reference_on_seeded_a3_pairs():
+    rng = random.Random(1958)
+    basis = st.milnor_basis(3)
+    for _ in range(2000):
+        a, b = rng.choice(basis), rng.choice(basis)
+        assert st._term_product(a, b) == reference_term_product(a, b), (a, b)
+
+
+@hst.composite
+def homogeneous_triples(draw):
+    ambient = draw(hst.sampled_from([2, 3]))
+    by_degree = {}
+    for t in st.milnor_basis(ambient):
+        by_degree.setdefault(st.milnor_degree(t), []).append(t)
+    degrees = sorted(by_degree)
+    triple = []
+    for _ in range(3):
+        pool = by_degree[draw(hst.sampled_from(degrees))]
+        chosen = draw(hst.sets(hst.sampled_from(pool), min_size=1, max_size=3))
+        triple.append(st.SteenrodElt(ambient, frozenset(chosen)))
+    return triple
+
+
+@given(homogeneous_triples())
+def test_product_associative_on_homogeneous_triples(triple):
+    a, b, c = triple
+    assert ((a * b) * c).terms == (a * (b * c)).terms
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +444,24 @@ def test_integral_of_a_presets():
     assert lam.degree() == 6 and lam.terms == {(3, 1)}
 
 
-def test_integral_requires_one_dimensional_top():
-    # hand-built span with a two-dimensional top degree
-    fake = st.SubHopfAlgebra(
+def hand_built_two_dimensional_top():
+    return st.SubHopfAlgebra(
         ambient=2, name="fake", generators=(), gen_names=(),
         basis=(unit(2), Sq(3, ambient=2), Sq(0, 1, ambient=2)),
         expressions=(frozenset({()}), frozenset(), frozenset()))
+
+
+def test_integral_requires_one_dimensional_top():
     with pytest.raises(st.NotFrobeniusError):
-        fake.integral()
+        hand_built_two_dimensional_top().integral()
+
+
+def test_hand_built_algebra_differs_from_the_closure_of_its_generators():
+    fake = hand_built_two_dimensional_top()
+    closure = st.subalgebra_closure((), 2)
+    assert closure.dim == 1
+    assert fake != closure and closure != fake
+    assert fake == fake and fake == hand_built_two_dimensional_top()
 
 
 def test_decompose_and_membership():
