@@ -86,6 +86,14 @@ class GradedModule:
             return F2Matrix.zero(self.dim(d + g), self.dim(d))
         return mat
 
+    def columns(self, gi: int, d: int) -> list[int]:
+        """The columns of ``action(gi, d)`` as packed vectors."""
+        key = ("cols", gi, d)
+        hit = self._op_cache.get(key)
+        if hit is None:
+            hit = self._op_cache[key] = self.action(gi, d).columns()
+        return hit
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedModule)
                 and self.algebra == other.algebra

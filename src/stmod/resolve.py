@@ -1,16 +1,29 @@
 """Minimal free resolutions over a finite subalgebra, and bigraded Ext charts.
 
-A resolution stage is a free module recorded by its generator degrees; the
-differential is stored as the list of generator images in the previous
-stage (stage 0: in the module).  The resolver follows R. R. Bruner,
-*Calculation of large Ext modules* (1989): for each stage s and internal
-degree t in ascending order it forms the images b.d(g) of the stage-s basis
-slots (g, b) already present in degree t and runs one elimination of
-[d_s | I].  That single pass gives an echelon basis of im d_s and a basis of
-ker d_s, which is kept for stage s+1.  The new stage-s generators in degree
-t are the vectors of ker d_{s-1} (for s = 0: the module's degree-t basis)
-that do not reduce to zero modulo that image; each new generator's image is
-independent of everything before it, so it leaves ker d_s unchanged.
+A resolution stage is a free module recorded by its generator degrees and
+generator images in the stage below (stage 0: in the module).  The resolver
+follows R. R. Bruner, *Calculation of large Ext modules* (1989): for each
+stage s and internal degree t in ascending order it forms the images
+d(b.g) of the stage-s basis slots (g, b) already present in degree t and
+runs one elimination of [d_s | I].  That single pass gives an echelon basis
+of im d_s and a basis of ker d_s, which is kept for stage s+1.  The new
+stage-s generators in degree t are the vectors of ker d_{s-1} (for s = 0:
+the module's degree-t basis) that do not reduce to zero modulo that image;
+each new generator's image is independent of everything before it, so it
+leaves ker d_s unchanged.  A stage is only walked up to the last degree
+where the kernel below is nonzero plus the algebra's top degree; above that
+it has no slots.
+
+Slot images need no products of algebra basis elements.  The generators
+g_k of the algebra generate it (for A(n), the Sq^{2^k}: Milnor 1958), so
+every basis element of positive degree is b = sum_k g_k.c_k, and
+
+    d(b.g) = sum_k g_k . d(c_k.g),
+
+where the d(c_k.g) are slot images of lower degree, already computed, and
+g_k acts on the stage below through cached columns: the module's action
+matrices at stage 0, the algebra's left products g_k.b_j on a free stage.
+
 Generator counts by (stage, internal degree) are the Ext dimensions;
 ``ext_groups`` recomputes them (for any coefficient module) by honest rank
 arithmetic on the Hom complex, which doubles as an independent check of the
@@ -19,6 +32,7 @@ minimal chart.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .f2linalg import F2Matrix, eliminate, rref, solve, vec_support
@@ -26,19 +40,53 @@ from .module import GradedModule
 from .steenrod import SubHopfAlgebra
 
 
+def _apply(cols: list[int], vec: int) -> int:
+    """The image of vec under the map with these packed columns."""
+    out = 0
+    while vec:
+        low = vec & -vec
+        out ^= cols[low.bit_length() - 1]
+        vec ^= low
+    return out
+
+
 class FreeStage:
-    """A free module recorded by generator degrees, with basis (gen, alg)."""
+    """A free module with basis slots (generator, algebra basis index),
+    together with its differential into ``below`` (the stage under it, or
+    the module being resolved): ``images[g]`` is d(g), and d(b.g) for every
+    slot follows from the left decompositions b = sum_k g_k.c_k.
 
-    def __init__(self, algebra: SubHopfAlgebra, gen_degrees: list[int]):
-        self.algebra = algebra
-        self.gen_degrees = list(gen_degrees)
+    In degree t the slots of each generator form one block, ordered like
+    ``algebra.basis_by_degree``, so slot (g, b) sits at the block's offset
+    plus ``algebra.degree_position[b]``.
+    """
+
+    def __init__(self, below: "FreeStage | GradedModule"):
+        self.below = below
+        self.algebra: SubHopfAlgebra = below.algebra
+        self.gen_degrees: list[int] = []
+        self.images: list[int] = []
         self._basis: dict[int, list[tuple[int, int]]] = {}
-        self._pos: dict[int, dict[tuple[int, int], int]] = {}
+        self._offsets: dict[int, list[int]] = {}     # t -> block offset per generator
+        self._diff: dict[int, list[int]] = {}        # t -> d of each basis(t) slot
+        self._columns: dict[tuple[int, int], list[int]] = {}
 
-    def add_generator(self, degree: int):
+    def add_generator(self, degree: int, image: int):
+        """A generator with d(g) = image, in a degree >= every earlier
+        generator's.  Its one slot of that degree comes last."""
+        gi = len(self.gen_degrees)
         self.gen_degrees.append(degree)
-        self._basis.clear()
-        self._pos.clear()
+        self.images.append(image)
+        self._columns.clear()
+        for t in [t for t in self._basis if t > degree]:
+            del self._basis[t], self._offsets[t]
+        for t in [t for t in self._diff if t > degree]:
+            del self._diff[t]
+        if degree in self._basis:
+            self._offsets[degree].append(len(self._basis[degree]))
+            self._basis[degree].append((gi, self.algebra.unit_index))
+        if degree in self._diff:
+            self._diff[degree].append(image)
 
     @property
     def rank(self) -> int:
@@ -47,47 +95,100 @@ class FreeStage:
     def basis(self, t: int) -> list[tuple[int, int]]:
         """Basis slots (generator index, algebra basis index) in degree t."""
         if t not in self._basis:
-            lst = []
-            for gi, gd in enumerate(self.gen_degrees):
-                for bi in self.algebra.basis_by_degree(t - gd):
-                    lst.append((gi, bi))
+            gds, by_degree = self.gen_degrees, self.algebra.basis_by_degree
+            lo = bisect_left(gds, t - self.algebra.top_degree)
+            hi = bisect_right(gds, t)
+            lst, offsets = [], [0] * lo
+            for gi in range(lo, hi):
+                offsets.append(len(lst))
+                lst += [(gi, bi) for bi in by_degree(t - gds[gi])]
+            offsets += [len(lst)] * (len(gds) - hi)
             self._basis[t] = lst
-            self._pos[t] = {key: k for k, key in enumerate(lst)}
+            self._offsets[t] = offsets
         return self._basis[t]
 
     def dim(self, t: int) -> int:
         return len(self.basis(t))
 
+    def columns(self, k: int, t: int) -> list[int]:
+        """Columns of the algebra's generator k on the degree-t slots:
+        g_k.(b.g) = (g_k.b).g, one shifted left product per slot."""
+        key = (k, t)
+        hit = self._columns.get(key)
+        if hit is None:
+            left, target = self.algebra.left, t + self.algebra.gen_degrees[k]
+            self.basis(target)
+            offsets = self._offsets[target]
+            hit = [left(k, bi) << offsets[gi] for gi, bi in self.basis(t)]
+            self._columns[key] = hit
+        return hit
+
     def act(self, t: int, alg_idx: int, vec: int) -> int:
-        """Left action of algebra basis element alg_idx on a degree-t vector."""
+        """Left action of algebra basis element alg_idx on a degree-t vector,
+        through its left decomposition and the generator columns."""
         alg = self.algebra
-        basis = self.basis(t)
-        target = t + alg.basis_degrees[alg_idx]
-        self.basis(target)
-        pos = self._pos[target]
-        out = 0
-        for slot in vec_support(vec):
-            gi, bi = basis[slot]
-            for k in alg.mult(alg_idx, bi):
-                out ^= 1 << pos[(gi, k)]
+        done = {alg.unit_index: vec}
+
+        def value(i: int) -> int:
+            hit = done.get(i)
+            if hit is None:
+                hit = 0
+                for k, c in alg.left_decomposition(i):
+                    d = alg.basis_degrees[i] - alg.gen_degrees[k]
+                    ids = alg.basis_by_degree(d)
+                    part = 0
+                    for r in vec_support(c):
+                        part ^= value(ids[r])
+                    if part:
+                        hit ^= _apply(self.columns(k, t + d), part)
+                done[i] = hit
+            return hit
+
+        return value(alg_idx)
+
+    def differential(self, t: int) -> list[int]:
+        """d(b.g) for the degree-t slots (g, b), in ``basis(t)`` order.
+
+        Lower degrees are filled in first, since d(b.g) = sum_k g_k.d(c_k.g)
+        reads the slot images d(c_k.g) of degree t - deg(g_k).
+        """
+        if t not in self._diff:
+            for u in range(min(self.gen_degrees + [t]), t + 1):
+                if u not in self._diff:
+                    self._diff[u] = self._differential_in(u)
+        return self._diff[t]
+
+    def _differential_in(self, t: int) -> list[int]:
+        alg = self.algebra
+        unit, decomposition = alg.unit_index, alg.left_decomposition
+        images = self.images
+        # per generator g_k of the algebra, filled on first use: the slot
+        # images of degree t - deg(g_k), their block offsets, and the
+        # columns of g_k on that degree of the stage below
+        lower = [None] * len(alg.gen_degrees)
+        out = []
+        for gi, bi in self.basis(t):
+            if bi == unit:
+                out.append(images[gi])
+                continue
+            img = 0
+            for k, c in decomposition(bi):
+                entry = lower[k]
+                if entry is None:
+                    u = t - alg.gen_degrees[k]
+                    entry = lower[k] = (self._diff[u], self._offsets[u],
+                                        self.below.columns(k, u))
+                diff, offsets, cols = entry
+                off = offsets[gi]
+                part = 0
+                while c:
+                    low = c & -c
+                    part ^= diff[off + low.bit_length() - 1]
+                    c ^= low
+                if part:
+                    img ^= _apply(cols, part)
+            out.append(img)
         return out
-
-
-def _slot_images(m: GradedModule, prev: FreeStage | None, stage: FreeStage,
-                 images: list[int], t: int) -> list[int]:
-    """d(b.g) = b.d(g) for the stage basis slots (g, b) in degree t.
-
-    ``prev`` is the stage the differential lands in, or None for stage 0,
-    whose generator images lie in the module m.
-    """
-    cols = []
-    for gi, bi in stage.basis(t):
-        gd = stage.gen_degrees[gi]
-        if prev is None:
-            cols.append(m.basis_op(bi).apply(gd, images[gi]))
-        else:
-            cols.append(prev.act(gd, bi, images[gi]))
-    return cols
 
 
 @dataclass
@@ -98,7 +199,6 @@ class MinimalResolution:
     s_max: int
     t_max: int
     stages: list[FreeStage]
-    images: list[list[int]]  # images[s][g]: packed vector; s=0 into the module
 
     @property
     def algebra(self) -> SubHopfAlgebra:
@@ -113,9 +213,8 @@ class MinimalResolution:
         Columns run over the stage-s basis; rows over the stage-(s-1) basis
         (s=0: over the module's degree-t basis).
         """
-        prev = self.stages[s - 1] if s else None
-        cols = _slot_images(self.module, prev, self.stages[s], self.images[s], t)
-        return F2Matrix.from_cols(cols, prev.dim(t) if prev else self.module.dim(t))
+        stage = self.stages[s]
+        return F2Matrix.from_cols(stage.differential(t), stage.below.dim(t))
 
     def chart(self) -> "ExtChart":
         entries: dict[tuple[int, int], int] = {}
@@ -128,12 +227,10 @@ class MinimalResolution:
     def is_minimal(self) -> bool:
         """Differentials land in (augmentation ideal) * (previous stage)."""
         unit = self.algebra.unit_index
-        for s in range(1, len(self.stages)):
-            prev = self.stages[s - 1]
-            for gi, img in enumerate(self.images[s]):
-                t = self.stages[s].gen_degrees[gi]
+        for stage in self.stages[1:]:
+            for img, t in zip(stage.images, stage.gen_degrees):
                 for slot in vec_support(img):
-                    _, bi = prev.basis(t)[slot]
+                    _, bi = stage.below.basis(t)[slot]
                     if bi == unit:
                         return False
         return True
@@ -157,29 +254,31 @@ class MinimalResolution:
 
 def minimal_resolution(m: GradedModule, s_max: int, t_max: int) -> MinimalResolution:
     """Resolve m minimally up to homological degree s_max and internal
-    degree t_max; kernels are covered by new generators in ascending degree."""
-    alg = m.algebra
-    degrees = range(min(m.degrees(), default=0), t_max + 1)
+    degree t_max; kernels are covered by new generators in ascending degree.
+
+    Only nonzero kernels are kept, and each stage stops at the last one
+    below plus the algebra's top degree, past which it has no slots.
+    """
+    top = m.algebra.top_degree
     # ker d_{-1} is all of m, so stage 0 covers m's degree-t basis
-    kernels = {t: [1 << i for i in range(m.dim(t))] for t in degrees}
+    kernels = {t: [1 << i for i in range(m.dim(t))] for t in m.degrees()}
     stages: list[FreeStage] = []
-    images: list[list[int]] = []
-    for s in range(s_max + 1):
-        prev = stages[-1] if stages else None
-        stage = FreeStage(alg, [])
-        imgs: list[int] = []
+    below: FreeStage | GradedModule = m
+    for _ in range(s_max + 1):
+        stage = FreeStage(below)
         next_kernels: dict[int, list[int]] = {}
-        for t in degrees:
-            image, next_kernels[t] = eliminate(_slot_images(m, prev, stage, imgs, t))
-            for w in kernels[t]:
-                if image.add(w):
-                    stage.add_generator(t)
-                    imgs.append(w)
+        if kernels:
+            for t in range(min(kernels), min(t_max, max(kernels) + top) + 1):
+                image, kernel = eliminate(stage.differential(t))
+                if kernel:
+                    next_kernels[t] = kernel
+                for w in kernels.get(t, ()):
+                    if image.add(w):
+                        stage.add_generator(t, w)
         stages.append(stage)
-        images.append(imgs)
         kernels = next_kernels
-    return MinimalResolution(module=m, s_max=s_max, t_max=t_max,
-                             stages=stages, images=images)
+        below = stage
+    return MinimalResolution(module=m, s_max=s_max, t_max=t_max, stages=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +358,7 @@ def ext_groups(m: GradedModule, n: GradedModule, s_max: int,
         mat_rows = len(dst)
         data = [0] * mat_rows
         for r, (gj, nd, i) in enumerate(dst):
-            img = res.images[s + 1][gj]  # in prev at degree gd_j
+            img = stage.images[gj]  # in prev at degree gd_j
             gd_j = stage.gen_degrees[gj]
             for slot in vec_support(img):
                 gi, bi = prev.basis(gd_j)[slot]
@@ -342,7 +441,7 @@ def yoneda_action(res: MinimalResolution, s0: int, t0: int,
         cur: dict[int, int] = {}
         stage_src = res.stages[k + s0]
         for gj, gd in enumerate(stage_src.gen_degrees):
-            img = res.images[k + s0][gj]  # in stage k+s0-1 at degree gd
+            img = stage_src.images[gj]  # in stage k+s0-1 at degree gd
             rhs = 0
             prev_stage = res.stages[k + s0 - 1]
             for slot in vec_support(img):

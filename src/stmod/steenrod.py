@@ -342,6 +342,11 @@ class SubHopfAlgebra:
         for i, d in enumerate(self.basis_degrees):
             by_degree.setdefault(d, []).append(i)
         self._by_degree = {d: tuple(ids) for d, ids in by_degree.items()}
+        position = [0] * len(self.basis_degrees)
+        for ids in by_degree.values():
+            for r, i in enumerate(ids):
+                position[i] = r
+        self.degree_position = tuple(position)  # i's place in its degree
         self.degrees = tuple(sorted(by_degree))
         self.top_degree = max(self.basis_degrees, default=0)
         self.unit_index = next((i for i, b in enumerate(self.basis)
@@ -350,6 +355,8 @@ class SubHopfAlgebra:
         self.kind_param = kind_param
         self._span: F2Span | None = None
         self._mult_table: dict = {}
+        self._left_table: dict[tuple[int, int], int] = {}
+        self._left_decomp: dict[int, tuple[tuple[int, int], ...]] = {}
         self._flags: dict = {}
 
     # -- basic shape ---------------------------------------------------------
@@ -409,6 +416,58 @@ class SubHopfAlgebra:
         if hit is None:
             hit = tuple(self.decompose(self.basis[i] * self.basis[j]))
             self._mult_table[key] = hit
+        return hit
+
+    def left(self, k: int, j: int) -> int:
+        """generators[k] * basis[j], packed over its degree: bit r stands
+        for ``basis_by_degree(d)[r]``."""
+        key = (k, j)
+        hit = self._left_table.get(key)
+        if hit is None:
+            index = _basis_index(self.ambient)
+            vec = 0
+            for s in self.generators[k].terms:
+                for t in self.basis[j].terms:
+                    for u in _term_product(s, t):
+                        vec ^= 1 << index[u]
+            residual, combo = self._span.reduce(vec)
+            if residual:
+                raise ValueError(f"{self.gen_names[k]} * {self.basis[j]} "
+                                 f"does not lie in {self.name}")
+            hit = 0
+            for i in vec_support(combo):
+                hit |= 1 << self.degree_position[i]
+            self._left_table[key] = hit
+        return hit
+
+    def left_decomposition(self, i: int) -> tuple[tuple[int, int], ...]:
+        """basis[i] = sum_k generators[k] * c_k for a basis element of
+        positive degree d, as pairs (k, c_k), c_k packed over degree
+        d - deg(generators[k]) as in ``left``.
+
+        The generators generate, so the products generators[k] * basis[j]
+        of degree d span it; one ``F2Span`` over them decomposes every
+        basis element of degree d at once.
+        """
+        hit = self._left_decomp.get(i)
+        if hit is None:
+            d = self.basis_degrees[i]
+            pairs = [(k, j) for k, g in enumerate(self.gen_degrees)
+                     for j in self.basis_by_degree(d - g)]
+            span = F2Span()
+            for p, (k, j) in enumerate(pairs):
+                span.add(self.left(k, j), 1 << p)
+            for r, b in enumerate(self.basis_by_degree(d)):
+                residual, combo = span.reduce(1 << r)
+                if residual:
+                    raise ValueError(f"{self.basis[b]} is not a sum of "
+                                     f"generator multiples in {self.name}")
+                cs: dict[int, int] = {}
+                for p in vec_support(combo):
+                    k, j = pairs[p]
+                    cs[k] = cs.get(k, 0) | 1 << self.degree_position[j]
+                self._left_decomp[b] = tuple(sorted(cs.items()))
+            hit = self._left_decomp[i]
         return hit
 
     # -- Hopf-theoretic flags --------------------------------------------------

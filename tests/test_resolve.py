@@ -1,9 +1,12 @@
 """Minimal resolutions, Ext charts, the Hom-complex oracle, Yoneda pairing."""
 
+import hashlib
+import random
+
 import pytest
 
 from stmod import fixtures, module as md, resolve as rv, steenrod as st
-from stmod.f2linalg import rref
+from stmod.f2linalg import F2Matrix, rref, vec_support
 from stmod.module import (dual, hopf_quotient, regular_module, suspend,
                           tensor, trivial_module)
 from stmod.resolve import (ext_chart, ext_groups, minimal_resolution,
@@ -52,6 +55,72 @@ def test_a2_resolution_is_minimal_exact_and_matches_hom_oracle(A2):
     ch = res.chart()
     oracle = ext_groups(f2, f2, 6, 24, resolution=res)
     assert oracle.window_equal(ch, 6, 24) and ch.window_equal(oracle, 6, 24)
+
+
+def test_ext_window_beyond_the_last_generator_changes_nothing(joker):
+    far = ext_chart(joker, 3, 10 ** 6)
+    assert far.t_max == 10 ** 6
+    assert far.entries == ext_chart(joker, 3, 40).entries
+
+
+def reference_action(stage, t, bi, vec):
+    """b.v on a free stage from SteenrodElt products: (b.b_j).g_j for each
+    slot (g_j, b_j) of the degree-t vector v, decomposed."""
+    alg = stage.algebra
+    pos = {slot: k for k, slot in enumerate(stage.basis(t + alg.basis_degrees[bi]))}
+    out = 0
+    for slot in vec_support(vec):
+        h, j = stage.basis(t)[slot]
+        for l in alg.decompose(alg.basis[bi] * alg.basis[j]):
+            out ^= 1 << pos[(h, l)]
+    return out
+
+
+def reference_differential(res, s, t):
+    """d(b.g) = b.d(g) for the stage-s slots in degree t, from products; at
+    stage 0, b acts on the module through its word expression."""
+    stage = res.stages[s]
+    cols = []
+    for gi, bi in stage.basis(t):
+        gd, img = stage.gen_degrees[gi], stage.images[gi]
+        if s == 0:
+            cols.append(res.module.basis_op(bi).apply(gd, img))
+        else:
+            cols.append(reference_action(stage.below, gd, bi, img))
+    return F2Matrix.from_cols(cols, stage.below.dim(t))
+
+
+def assert_differentials_match_reference(res, stages):
+    t_lo = min(res.module.degrees())
+    for s in stages:
+        for t in range(t_lo, res.t_max + 1):
+            assert res.diff_matrix(s, t) == reference_differential(res, s, t), (s, t)
+
+
+@pytest.mark.parametrize("alg, s_max, t_max", [
+    (st.A(1), 8, 24), (st.A(2), 5, 20), (st.E(2), 6, 24), (st.A(3), 3, 14)], ids=str)
+def test_differentials_match_product_reference(alg, s_max, t_max):
+    res = minimal_resolution(trivial_module(alg), s_max, t_max)
+    assert_differentials_match_reference(res, range(s_max + 1))
+
+
+def test_stage_zero_differentials_match_module_action(joker, A2):
+    for m in (joker, hopf_quotient(A2, st.A(1, 2))):
+        assert_differentials_match_reference(minimal_resolution(m, 2, 20), [0])
+
+
+def test_free_stage_action_matches_product_reference(A2):
+    res = minimal_resolution(trivial_module(A2), 4, 20)
+    rng = random.Random(2)
+    for s in (1, 3):
+        stage = res.stages[s]
+        for _ in range(40):
+            t = rng.randrange(0, 12)
+            if not stage.dim(t):
+                continue
+            vec = rng.getrandbits(stage.dim(t))
+            bi = rng.randrange(A2.dim)
+            assert stage.act(t, bi, vec) == reference_action(stage, t, bi, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +216,13 @@ def test_ext_over_exterior_algebra_is_polynomial(n, s_max, t_max):
     assert dict(ch.items()) == polynomial_chart(n, s_max, t_max)
 
 
+@pytest.mark.parametrize("n, s_max, t_max", [(2, 8, 40), (3, 6, 30)])
+def test_change_of_rings_a_mod_e_is_polynomial(n, s_max, t_max):
+    """Ext_{A(n)}(A(n)//E(n)) = Ext_{E(n)}(F2) = F2[v_0..v_n]."""
+    ch = ext_chart(hopf_quotient(st.A(n), st.E(n)), s_max, t_max)
+    assert dict(ch.items()) == polynomial_chart(n, s_max, t_max)
+
+
 def test_change_of_rings_a2_mod_a1_is_a1_chart(A2, f2_a1):
     lhs = ext_chart(hopf_quotient(A2, st.A(1, 2)), 6, 24)
     rhs = ext_chart(f2_a1, 6, 24)
@@ -211,6 +287,27 @@ def test_yoneda_on_zero_entries(f2_resolution):
     act = yoneda_action(f2_resolution, 1, 1)
     # (1,3) is an empty bidegree; anything mapped there is zero-dimensional
     assert (1, 3) not in act or act[(1, 3)].cols == 0
+
+
+# sha256 of the pairing matrices, recorded while the resolver still formed
+# every b.d(g) from Milnor products
+YONEDA_DIGESTS = {
+    ("A(1)", 1, 1): "73e584cf7b948ea3d7683d3acc8f66804c9b950bcd235478428e2c7a27235fba",
+    ("A(1)", 1, 2): "3ceaf40e612f44878d28eefa291530f7c03289c260e76426347d72beab882e77",
+    ("A(1)", 4, 12): "aed9dcdc807c5d5f0ec50c2f956fac7389e85987708203448c4ed63a81a6f8a4",
+    ("A(2)", 1, 1): "7a619bfa659c82340ec64d07ba3218e0941cae9fa3591a0c3d75fa517293f298",
+    ("A(2)", 1, 2): "23bdaaefa72c4a1cae51296d1121f84ba7b27be33c6895b026aac8febf537f48",
+    ("A(2)", 1, 4): "a4b6a669120fd171aa038b19adba8d750879feb6cb309d011a62c2f568090530",
+}
+
+
+def test_yoneda_matrices_are_unchanged(f2_resolution, A2):
+    resolutions = {"A(1)": f2_resolution,
+                   "A(2)": minimal_resolution(trivial_module(A2), 8, 30)}
+    for (name, s0, t0), digest in YONEDA_DIGESTS.items():
+        act = yoneda_action(resolutions[name], s0, t0)
+        mats = sorted((k, m.rows, m.cols, m.data) for k, m in act.items())
+        assert hashlib.sha256(repr(mats).encode()).hexdigest() == digest, (name, s0, t0)
 
 
 def test_yoneda_rejects_non_trivial_target(joker):

@@ -478,6 +478,51 @@ def test_decompose_and_membership():
     assert not a1.is_subalgebra_of(b)
 
 
+def degree_element(alg, d, packed):
+    """The sum of the basis elements of degree d that ``packed`` selects."""
+    ids = alg.basis_by_degree(d)
+    return functools.reduce(operator.add,
+                            (alg.basis[ids[r]] for r in vec_support(packed)),
+                            zero(alg.ambient))
+
+
+def left_decomposition_value(alg, i):
+    """sum_k generators[k] * c_k, multiplied out with SteenrodElt products."""
+    acc = zero(alg.ambient)
+    for k, c in alg.left_decomposition(i):
+        acc = acc + alg.generators[k] * degree_element(
+            alg, alg.basis_degrees[i] - alg.gen_degrees[k], c)
+    return acc
+
+
+@pytest.mark.parametrize("alg", [st.A(0), st.A(1), st.A(2), st.E(2), st.E(3),
+                                 fixtures.algebra_P11()], ids=str)
+def test_left_decompositions_multiply_back(alg):
+    for i in range(alg.dim):
+        if i != alg.unit_index:
+            assert left_decomposition_value(alg, i) == alg.basis[i], alg.basis[i]
+
+
+def test_left_decompositions_multiply_back_on_seeded_a3_sample():
+    a3 = st.A(3)
+    for i in random.Random(1989).sample(range(1, a3.dim), 160):
+        assert left_decomposition_value(a3, i) == a3.basis[i], a3.basis[i]
+
+
+def test_left_products_match_steenrod_products():
+    for alg in (st.A(2), st.E(2)):
+        for k, g in enumerate(alg.generators):
+            for j, b in enumerate(alg.basis):
+                d = alg.basis_degrees[j] + alg.gen_degrees[k]
+                assert degree_element(alg, d, alg.left(k, j)) == g * b
+
+
+def test_unit_has_no_left_decomposition():
+    a1 = st.A(1)
+    with pytest.raises(ValueError):
+        a1.left_decomposition(a1.unit_index)
+
+
 # ---------------------------------------------------------------------------
 # Wall relations and doubling
 
