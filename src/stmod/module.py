@@ -301,8 +301,9 @@ def validate(m: GradedModule) -> list[str]:
     """Empty list when the generator matrices define a genuine module.
 
     Over a full A(n) this evaluates every Wall relation as an operator;
-    otherwise it checks that the derived basis action is multiplicative.
-    Violations name the failing relation (or basis pair), the degree, and a
+    otherwise it checks the dim * (number of generators) relations
+    basis[i] * generator[k] = sum_j basis[j] that present the algebra.
+    Violations name the failing relation (or product), the degree, and a
     witness basis element.
     """
     violations: list[str] = []
@@ -323,22 +324,24 @@ def validate(m: GradedModule) -> list[str]:
                             f"{m.labels[d][j]} (degree {d})")
                         break
         return violations
-    # generic subalgebra: multiplicativity on basis pairs; pairs whose
-    # product degree exceeds the top degree multiply to zero in the algebra
-    # and must act as the zero operator
+    # generic subalgebra: the closure's relations basis[i] * generator[k] =
+    # sum of basis elements present the algebra (products past the top
+    # degree vanish), so the derived action is multiplicative iff each one
+    # holds as an operator identity
+    gen_ops = [Operator.generator(m, k) for k in range(len(alg.generators))]
     for i, di in enumerate(alg.basis_degrees):
-        for j, dj in enumerate(alg.basis_degrees):
-            lhs = m.basis_op(i).compose(m.basis_op(j))
-            rhs = Operator.zero(m, di + dj)
-            if di + dj <= alg.top_degree:
-                for k in alg.mult(i, j):
-                    rhs = rhs.add(m.basis_op(k))
+        for k, gen in enumerate(alg.generators):
+            lhs = m.basis_op(i).compose(gen_ops[k])
+            rhs = Operator.zero(m, lhs.shift)
+            if lhs.shift <= alg.top_degree:
+                for j in alg.decompose(alg.basis[i] * gen):
+                    rhs = rhs.add(m.basis_op(j))
             diff = lhs.add(rhs)
             if not diff.is_zero():
                 d = min(diff.mats)
                 jj = next(c for c in range(diff.mats[d].cols) if diff.mats[d].col(c))
                 violations.append(
-                    f"basis product {alg.basis[i]} * {alg.basis[j]} acts "
+                    f"basis product {alg.basis[i]} * {alg.gen_names[k]} acts "
                     f"inconsistently on {m.labels[d][jj]} (degree {d})")
     return violations
 
@@ -361,34 +364,16 @@ def trivial_module(alg: SubHopfAlgebra, name: str = "F2") -> GradedModule:
 
 
 def regular_module(alg: SubHopfAlgebra) -> GradedModule:
-    """The algebra as a left module over itself."""
-    labels: dict[int, list[str]] = {}
-    index_of: dict[int, tuple[int, int]] = {}
-    reps: dict[int, list[SteenrodElt]] = {}
-    for i, (b, d) in enumerate(zip(alg.basis, alg.basis_degrees)):
-        labels.setdefault(d, []).append(f"b{i}")
-        reps.setdefault(d, []).append(b)
-        index_of[i] = (d, len(labels[d]) - 1)
-    actions: dict[int, dict[int, F2Matrix]] = {}
-    for gi in range(len(alg.generators)):
-        g = alg.gen_degrees[gi]
-        per: dict[int, F2Matrix] = {}
-        for d, ls in labels.items():
-            cols = []
-            for k in range(len(ls)):
-                bi = alg.basis_by_degree(d)[k]
-                prod = alg.generators[gi] * alg.basis[bi]
-                v = 0
-                for idx in alg.decompose(prod):
-                    dd, pos = index_of[idx]
-                    v |= 1 << pos
-                cols.append(v)
-            per[d] = F2Matrix.from_cols(cols, len(labels.get(d + g, [])))
-        actions[gi] = per
-    return GradedModule(alg, {d: tuple(ls) for d, ls in labels.items()}, actions,
-                        meta={"name": alg.name,
-                              "reps": {d: tuple(r) for d, r in reps.items()},
-                              "cyclic_degree": 0})
+    """The algebra as a left module over itself: generator g acts on the
+    degree-d basis through the left products g.b."""
+    labels = {d: tuple(f"b{i}" for i in alg.basis_by_degree(d)) for d in alg.degrees}
+    reps = {d: tuple(alg.basis[i] for i in alg.basis_by_degree(d)) for d in alg.degrees}
+    actions = {gi: {d: F2Matrix.from_cols([alg.left(gi, bi) for bi in alg.basis_by_degree(d)],
+                                          alg.basis_dim(d + g))
+                    for d in alg.degrees}
+               for gi, g in enumerate(alg.gen_degrees)}
+    return GradedModule(alg, labels, actions,
+                        meta={"name": alg.name, "reps": reps, "cyclic_degree": 0})
 
 
 def aug_ideal_module(alg: SubHopfAlgebra) -> GradedModule:
@@ -517,28 +502,61 @@ def direct_sum(m: GradedModule, n: GradedModule) -> GradedModule:
     return GradedModule(m.algebra, labels, actions, meta={"name": name})
 
 
-def _quotient_from_relations(alg: SubHopfAlgebra, slot_info, relations,
-                             gen_action, name, label_prefix,
-                             reps_of_slot=None) -> GradedModule:
-    """Shared quotient machinery.
+def _packed(alg: SubHopfAlgebra, e: SteenrodElt) -> int:
+    """e over the basis of its degree, packed as ``SubHopfAlgebra.left`` is."""
+    vec = 0
+    for i in alg.decompose(e):
+        vec |= 1 << alg.degree_position[i]
+    return vec
 
-    slot_info: dict degree -> list of slot keys (the ambient basis).
-    relations: dict degree -> list of packed vectors over the slots.
-    gen_action(gi, d, slot_index) -> packed vector over slots at d + deg(g).
+
+def _free_quotient(alg: SubHopfAlgebra, v: GradedModule, relations,
+                   name: str, label_prefix: str):
+    """(alg (x) V) / relations as a left alg-module, V a graded space given
+    by the labels of v.
+
+    The slots of degree d are the triples (algebra basis index a, V degree
+    e, V index i) with deg(a) + e = d, ordered by a, then e, then i.  A
+    relation is a tuple of terms (c, avec, e, vvec), each the sum of the
+    slots (basis_by_degree(c)[r], e, i) over the bits r of avec and i of
+    vvec.  Generator g sends slot (a, e, i) to alg.left(g, a) placed over
+    the slots, reduced modulo the relations and projected onto the slots
+    kept (those that are no pivot of the relations).
+
+    Returns the module and its kept slots per degree.
     """
-    spans: dict[int, F2Span] = {}
-    kept: dict[int, list[int]] = {}
-    for d, slots in slot_info.items():
-        spans[d] = span = F2Span()
-        for vec in relations.get(d, []):
-            span.add(vec)
-        pivset = set(span.pivots())
-        kept[d] = [j for j in range(len(slots)) if j not in pivset]
+    offset: dict[tuple[int, int], int] = {}    # (a, e) -> first slot of its block
+    slots: dict[int, list[tuple[int, int, int]]] = {}
+    for a, c in enumerate(alg.basis_degrees):
+        for e in v.degrees():
+            lst = slots.setdefault(c + e, [])
+            offset[a, e] = len(lst)
+            lst += [(a, e, i) for i in range(v.dim(e))]
+
+    def place(c: int, avec: int, e: int, vvec: int) -> int:
+        out = 0
+        if vvec:
+            ids = alg.basis_by_degree(c)
+            for r in vec_support(avec):
+                out ^= vvec << offset[ids[r], e]
+        return out
+
+    spans = {d: F2Span() for d in slots}
+    for rel in relations:
+        vec = 0
+        for term in rel:
+            vec ^= place(*term)
+        if vec:
+            c, _, e, _ = rel[0]
+            spans[c + e].add(vec)
+    kept = {}
+    for d, lst in slots.items():
+        pivots = set(spans[d].pivots())
+        kept[d] = [j for j in range(len(lst)) if j not in pivots]
 
     def project(d: int, vec: int) -> int:
-        vec = spans[d].reduce(vec)[0]
-        out = 0
-        for pos, j in enumerate(kept.get(d, [])):
+        vec, out = spans[d].reduce(vec)[0], 0
+        for pos, j in enumerate(kept[d]):
             if (vec >> j) & 1:
                 out |= 1 << pos
         return out
@@ -546,73 +564,54 @@ def _quotient_from_relations(alg: SubHopfAlgebra, slot_info, relations,
     labels = {d: tuple(f"{label_prefix}{d}_{k}" for k in range(len(js)))
               for d, js in kept.items() if js}
     actions: dict[int, dict[int, F2Matrix]] = {}
-    for gi in range(len(alg.generators)):
-        g = alg.gen_degrees[gi]
-        per = {}
+    for gi, g in enumerate(alg.gen_degrees):
+        per = actions[gi] = {}
         for d, js in kept.items():
-            if not js or not kept.get(d + g):
-                continue
-            cols = [project(d + g, gen_action(gi, d, j)) for j in js]
-            per[d] = F2Matrix.from_cols(cols, len(kept[d + g]))
-        actions[gi] = per
-    meta = {"name": name}
-    if reps_of_slot is not None:
-        meta["reps"] = {d: tuple(reps_of_slot(d, j) for j in js)
-                        for d, js in kept.items() if js}
-        meta["cyclic_degree"] = 0
-    return GradedModule(alg, labels, actions, meta=meta)
+            if js and kept.get(d + g):
+                cols = []
+                for j in js:
+                    a, e, i = slots[d][j]
+                    cols.append(project(d + g, place(d - e + g, alg.left(gi, a), e, 1 << i)))
+                per[d] = F2Matrix.from_cols(cols, len(kept[d + g]))
+    return (GradedModule(alg, labels, actions, meta={"name": name}),
+            {d: [slots[d][j] for j in js] for d, js in kept.items() if js})
 
 
 def quotient_by_left_ideal(alg: SubHopfAlgebra, gens) -> GradedModule:
-    """The cyclic module alg / alg{gens}, generated by the unit coset."""
+    """The cyclic module alg / alg{gens}, generated by the unit coset.
+
+    The ideal is spanned by the right multiples b.x of the generators x by
+    the basis elements b.
+    """
     gens = list(gens)
+    relations = []
     for x in gens:
         if not alg.contains_element(x):
             raise ValueError(f"ideal generator {x} is not in {alg.name}")
-    slot_info = {d: alg.basis_by_degree(d) for d in alg.degrees}
-    local_pos = {d: {bi: k for k, bi in enumerate(ids)}
-                 for d, ids in slot_info.items()}
-
-    def to_vec(d, e: SteenrodElt) -> int:
-        v = 0
-        for idx in alg.decompose(e):
-            v |= 1 << local_pos[d][idx]
-        return v
-
-    relations: dict[int, list[int]] = {}
-    for x in gens:
-        if x.is_zero():
-            continue
-        dx = x.degree()
-        for b, db in zip(alg.basis, alg.basis_degrees):
-            d = db + dx
-            if d > alg.top_degree:
-                continue
-            prod = b * x
-            if prod.is_zero():
-                continue
-            relations.setdefault(d, []).append(to_vec(d, prod))
-
-    def gen_action(gi, d, slot):
-        bi = slot_info[d][slot]
-        prod = alg.generators[gi] * alg.basis[bi]
-        if prod.is_zero():
-            return 0
-        return to_vec(d + alg.gen_degrees[gi], prod)
-
+        if not x.is_homogeneous():
+            raise ValueError(f"ideal generator {x} is not homogeneous")
+        if not x.is_zero():
+            dx = x.degree()
+            relations += [((db + dx, _packed(alg, b * x), 0, 1),)
+                          for b, db in zip(alg.basis, alg.basis_degrees)
+                          if db + dx <= alg.top_degree]
     gen_names = ", ".join(str(x) for x in gens)
-    return _quotient_from_relations(
-        alg, slot_info, relations, gen_action,
-        name=f"{alg.name}/({gen_names})", label_prefix="q",
-        reps_of_slot=lambda d, j: alg.basis[slot_info[d][j]])
+    q, kept = _free_quotient(alg, trivial_module(alg), relations,
+                             name=f"{alg.name}/({gen_names})", label_prefix="q")
+    q.meta["reps"] = {d: tuple(alg.basis[a] for a, _, _ in ks) for d, ks in kept.items()}
+    q.meta["cyclic_degree"] = 0
+    return q
 
 
 def hopf_quotient(h: SubHopfAlgebra, k: SubHopfAlgebra) -> GradedModule:
-    """h//k = h / h*(positive part of k), as a left h-module."""
+    """h//k = h / h.k+, as a left h-module, k+ the positive part of k.
+
+    Killing k's generators g_i suffices: every positive word in them ends
+    in some g_i, so h.k+ = sum_i h.g_i.
+    """
     if not k.is_subalgebra_of(h):
         raise ValueError(f"{k.name} is not a subalgebra of {h.name}")
-    gens = [b for b, d in zip(k.basis, k.basis_degrees) if d > 0]
-    q = quotient_by_left_ideal(h, gens)
+    q = quotient_by_left_ideal(h, k.generators)
     q.meta["name"] = f"{h.name}//{k.name}"
     return q
 
@@ -621,7 +620,10 @@ def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModul
     """a (x)_b m for b a subalgebra of a and m a b-module.
 
     A module handed over a (or any algebra containing b) is restricted to b
-    first.
+    first.  The relations x.y (x) v + x (x) y.v are taken for the basis
+    elements x of a and the generators y of b only; they span all of them,
+    since x.y1y2 (x) v + x (x) y1y2.v is the relation for (x.y1, y2, v)
+    plus the one for (x, y1, y2.v).
     """
     if not b.is_subalgebra_of(a):
         raise ValueError(f"{b.name} is not a subalgebra of {a.name}")
@@ -630,53 +632,16 @@ def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModul
             m = restrict(m, b)
         else:
             raise ValueError("module is not given over the middle algebra")
-    # slots: pairs (algebra basis index of a, (module degree, module index))
-    slot_info: dict[int, list[tuple[int, int, int]]] = {}
-    for ai, dx in enumerate(a.basis_degrees):
-        for dv in m.degrees():
-            for iv in range(m.dim(dv)):
-                slot_info.setdefault(dx + dv, []).append((ai, dv, iv))
-    local_pos = {d: {key: k for k, key in enumerate(lst)}
-                 for d, lst in slot_info.items()}
-
-    def pair_vec(d, avec_indices, dv, mvec) -> int:
-        v = 0
-        for ai in avec_indices:
-            for iv in vec_support(mvec):
-                v ^= 1 << local_pos[d][(ai, dv, iv)]
-        return v
-
-    relations: dict[int, list[int]] = {}
-    positive_b = [(bb, d) for bb, d in zip(b.basis, b.basis_degrees) if d > 0]
+    relations = []
     for ai, (x, dx) in enumerate(zip(a.basis, a.basis_degrees)):
-        for y, dy in positive_b:
-            xy = x * y
-            xy_indices = a.decompose(xy) if not xy.is_zero() else []
-            y_op = m.element_op(y)
+        unit_x = 1 << a.degree_position[ai]
+        for yi, (y, dy) in enumerate(zip(b.generators, b.gen_degrees)):
+            xy = _packed(a, x * y) if dx + dy <= a.top_degree else 0
             for dv in m.degrees():
-                d = dx + dy + dv
-                if d not in slot_info:
-                    continue
-                for iv in range(m.dim(dv)):
-                    vec = 0
-                    if xy_indices:
-                        vec ^= pair_vec(d, xy_indices, dv, 1 << iv)
-                    yv = y_op.apply(dv, 1 << iv)
-                    if yv:
-                        vec ^= pair_vec(d, [ai], dv + dy, yv)
-                    if vec:
-                        relations.setdefault(d, []).append(vec)
-
-    def gen_action(gi, d, slot):
-        ai, dv, iv = slot_info[d][slot]
-        prod = a.generators[gi] * a.basis[ai]
-        if prod.is_zero():
-            return 0
-        return pair_vec(d + a.gen_degrees[gi], a.decompose(prod), dv, 1 << iv)
-
+                for iv, yv in enumerate(m.columns(yi, dv)):
+                    relations.append(((dx + dy, xy, dv, 1 << iv), (dx, unit_x, dv + dy, yv)))
     name = f"{a.name}(x)_{b.name} {m.meta.get('name', '?')}"
-    return _quotient_from_relations(a, slot_info, relations, gen_action,
-                                    name=name, label_prefix="i")
+    return _free_quotient(a, m, relations, name=name, label_prefix="i")[0]
 
 
 def restrict(m: GradedModule, b: SubHopfAlgebra) -> GradedModule:

@@ -236,9 +236,18 @@ class MinimalResolution:
         return True
 
     def check_exactness(self) -> bool:
-        """d o d = 0 and homology vanishes at interior stages (trust region)."""
+        """d o d = 0 and homology vanishes at interior stages (trust region).
+
+        Stage s-1 has slots only from its first generator degree (never
+        below the module's bottom degree) through its last plus the
+        algebra's top degree; elsewhere both checks hold trivially.
+        """
+        top = self.algebra.top_degree
         for s in range(1, len(self.stages)):
-            for t in range(self._t_min(), self.t_max + 1):
+            degrees = self.stages[s - 1].gen_degrees
+            if not degrees:
+                continue
+            for t in range(degrees[0], min(self.t_max, degrees[-1] + top) + 1):
                 m1 = self.diff_matrix(s - 1, t)
                 m2 = self.diff_matrix(s, t)
                 prod = m1 @ m2
@@ -247,9 +256,6 @@ class MinimalResolution:
                 if rref(m2)[1] != m1.cols - rref(m1)[1]:
                     return False
         return True
-
-    def _t_min(self) -> int:
-        return min(self.module.degrees(), default=0)
 
 
 def minimal_resolution(m: GradedModule, s_max: int, t_max: int) -> MinimalResolution:

@@ -258,6 +258,12 @@ def test_bad_flag_values_exit_one(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_inhomogeneous_ideal_generator_exits_one(capsys):
+    code, out, err = run(capsys, "quotient", "--algebra", "A(1)", "--kill", "Sq^1 + Sq^2")
+    assert code == 1 and out == ""
+    assert err == "error: ideal generator Sq(1) + Sq(2) is not homogeneous\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-verb"])

@@ -3,7 +3,7 @@
 import pytest
 
 from stmod import fixtures, module as md, steenrod as st
-from stmod.f2linalg import F2Matrix
+from stmod.f2linalg import F2Matrix, F2Span
 from stmod.module import (GradedModule, ModuleMap, direct_sum, double, dual,
                           hopf_quotient, induce, margolis_homology,
                           quotient_by_left_ideal, regular_module, restrict,
@@ -44,6 +44,45 @@ def test_validate_generic_subalgebra():
     actions[1][1] = F2Matrix.zero(reg.dim(4), reg.dim(1))
     broken = GradedModule(e1, dict(reg.labels), actions)
     assert validate(broken)
+
+
+def _broken_variants(m):
+    """m with one action matrix dropped, for each stored one."""
+    for gi, per in m.actions.items():
+        for d in per:
+            actions = {g: dict(p) for g, p in m.actions.items()}
+            del actions[gi][d]
+            yield GradedModule(m.algebra, dict(m.labels), actions)
+
+
+def _a2_modules():
+    a2 = st.A(2)
+    yield hopf_quotient(a2, st.A(1, 2))
+    yield hopf_quotient(a2, st.E(2))
+    yield double(fixtures.load_fixture("Joker"))
+
+
+def test_wall_and_presentation_routes_agree():
+    """Over A(n) both routes decide module-ness: the Wall relations and the
+    closure's relations basis[i] * generator[k], reached by rebuilding the
+    module over the closure of A(n)'s generators (kind "custom")."""
+    modules = [fixtures.load_fixture(name) for name in fixtures.fixture_names()]
+    modules = [m for m in modules if m.algebra.kind == "A" and m.algebra.kind_param >= 1]
+    modules += list(_a2_modules())
+    closures = {}
+    seen = {True: 0, False: 0}
+    for m in modules:
+        alg = m.algebra
+        if alg not in closures:
+            closures[alg] = st.subalgebra_closure(alg.generators, alg.ambient,
+                                                  names=alg.gen_names)
+            assert closures[alg].kind == "custom" and closures[alg].basis == alg.basis
+        for v in [m, *_broken_variants(m)]:
+            generic = GradedModule(closures[alg], dict(v.labels), v.actions)
+            wall_ok = validate(v) == []
+            assert wall_ok == (validate(generic) == [])
+            seen[wall_ok] += 1
+    assert seen[True] > 100 and seen[False] > 50
 
 
 def test_shape_error():
@@ -216,6 +255,155 @@ def test_induced_p11_quotient_decomposition(A1):
     assert iso_test(ind, tgt) is not None
     assert iso_test(ind, tensor(m, m)) is not None
     assert margolis_homology(ind, 1) != {}
+
+
+# ---------------------------------------------------------------------------
+# constructors against a reference built from Milnor products
+
+
+def _ref_quotient(alg, slots, relations, image, name, prefix):
+    """(span of the slots) / relations, with generator gi sending slot key
+    to image(gi, key); slots: degree -> keys, relations and images: lists of
+    (degree, keys), the keys summed."""
+    pos = {d: {key: j for j, key in enumerate(keys)} for d, keys in slots.items()}
+
+    def vec(d, keys):
+        v = 0
+        for key in keys:
+            v ^= 1 << pos[d][key]
+        return v
+
+    spans = {d: F2Span() for d in slots}
+    for d, keys in relations:
+        if d in slots:
+            spans[d].add(vec(d, keys))
+    kept = {}
+    for d, keys in slots.items():
+        pivots = set(spans[d].pivots())
+        kept[d] = [j for j in range(len(keys)) if j not in pivots]
+    labels = {d: tuple(f"{prefix}{d}_{k}" for k in range(len(js)))
+              for d, js in kept.items() if js}
+    actions = {}
+    for gi, g in enumerate(alg.gen_degrees):
+        for d, js in kept.items():
+            if js and kept.get(d + g):
+                cols = []
+                for j in js:
+                    d2, keys = image(gi, slots[d][j])
+                    v = spans[d2].reduce(vec(d2, keys))[0]
+                    cols.append(sum(1 << p for p, jj in enumerate(kept[d2]) if (v >> jj) & 1))
+                actions.setdefault(gi, {})[d] = F2Matrix.from_cols(cols, len(kept[d + g]))
+    kept_keys = {d: [slots[d][j] for j in js] for d, js in kept.items() if js}
+    return GradedModule(alg, labels, actions, meta={"name": name}), kept_keys
+
+
+def _ref_products(alg, x, y):
+    """(degree, basis indices) of x * y; zero above the top degree."""
+    d = x.degree() + y.degree()
+    return d, alg.decompose(x * y) if d <= alg.top_degree else []
+
+
+def _ref_regular(alg):
+    labels = {d: tuple(f"b{i}" for i in alg.basis_by_degree(d)) for d in alg.degrees}
+    actions = {}
+    for gi, g in enumerate(alg.generators):
+        for d in alg.degrees:
+            pos = {i: p for p, i in enumerate(alg.basis_by_degree(d + g.degree()))}
+            cols = [sum(1 << pos[i] for i in _ref_products(alg, g, alg.basis[bi])[1])
+                    for bi in alg.basis_by_degree(d)]
+            actions.setdefault(gi, {})[d] = F2Matrix.from_cols(cols, len(pos))
+    reps = {d: tuple(alg.basis[i] for i in alg.basis_by_degree(d)) for d in alg.degrees}
+    return GradedModule(alg, labels, actions,
+                        meta={"name": alg.name, "reps": reps, "cyclic_degree": 0})
+
+
+def _ref_kill(alg, gens, name):
+    slots = {d: list(alg.basis_by_degree(d)) for d in alg.degrees}
+    relations = [_ref_products(alg, b, x) for x in gens for b in alg.basis]
+    q, kept = _ref_quotient(alg, slots, relations,
+                            lambda gi, bi: _ref_products(alg, alg.generators[gi], alg.basis[bi]),
+                            name, "q")
+    q.meta["reps"] = {d: tuple(alg.basis[bi] for bi in keys) for d, keys in kept.items()}
+    q.meta["cyclic_degree"] = 0
+    return q
+
+
+def _ref_hopf(h, k):
+    return _ref_kill(h, [b for b, d in zip(k.basis, k.basis_degrees) if d > 0],
+                     f"{h.name}//{k.name}")
+
+
+def _ref_induce(a, b, m):
+    if m.algebra != b:
+        m = restrict(m, b)
+    slots = {}
+    for ai, dx in enumerate(a.basis_degrees):
+        for dv in m.degrees():
+            slots.setdefault(dx + dv, []).extend((ai, dv, iv) for iv in range(m.dim(dv)))
+
+    def tensor_keys(indices, dv, v):
+        return [(ai, dv, iv) for ai in indices for iv in range(m.dim(dv)) if (v >> iv) & 1]
+
+    relations = []
+    for ai, x in enumerate(a.basis):
+        for y in (y for y, dy in zip(b.basis, b.basis_degrees) if dy > 0):
+            d, xy = _ref_products(a, x, y)
+            for dv in m.degrees():
+                for iv in range(m.dim(dv)):
+                    yv = m.element_op(y).apply(dv, 1 << iv)
+                    relations.append((d + dv, tensor_keys(xy, dv, 1 << iv)
+                                      + tensor_keys([ai], dv + y.degree(), yv)))
+
+    def image(gi, key):
+        ai, dv, iv = key
+        d, gx = _ref_products(a, a.generators[gi], a.basis[ai])
+        return d + dv, tensor_keys(gx, dv, 1 << iv)
+
+    name = f"{a.name}(x)_{b.name} {m.meta.get('name', '?')}"
+    return _ref_quotient(a, slots, relations, image, name, "i")[0]
+
+
+def _same(built, ref):
+    assert built == ref
+    assert built.meta == ref.meta
+
+
+@pytest.mark.parametrize("alg", [st.A(0), st.A(1), st.A(2), st.E(1), st.E(2)],
+                         ids=str)
+def test_regular_module_matches_reference(alg):
+    _same(regular_module(alg), _ref_regular(alg))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_hopf_quotients_match_reference(n):
+    h = st.A(n)
+    for k in range(n + 1):
+        for sub in (st.A(k, n), st.E(k, n)):
+            _same(hopf_quotient(h, sub), _ref_hopf(h, sub))
+    if n == 1:
+        p11 = fixtures.algebra_P11()
+        _same(hopf_quotient(h, p11), _ref_hopf(h, p11))
+
+
+@pytest.mark.parametrize("gens", [[sq(1, 1)], [sq(1, 1), sq(1, 1) * sq(2, 1)], [sq(3, 1)]],
+                         ids=["HZ", "kU", "Joker"])
+def test_kill_sets_match_reference(A1, gens):
+    name = f"A(1)/({', '.join(str(x) for x in gens)})"
+    _same(quotient_by_left_ideal(A1, gens), _ref_kill(A1, gens, name))
+
+
+# the reference for A(3) (x)_E(3) F2 takes 1.3 s cold, so A(3) is checked
+# over E(2)
+@pytest.mark.parametrize("case", ["A1-P11-A1modP11", "A1-A1-HZ", "A2-A1-F2", "A3-E2-F2"])
+def test_induce_matches_reference(case, hz):
+    a, b, m = {
+        "A1-P11-A1modP11": lambda: (st.A(1), fixtures.algebra_P11(),
+                                    fixtures.load_fixture("A1modP11")),
+        "A1-A1-HZ": lambda: (st.A(1), st.A(1), hz),
+        "A2-A1-F2": lambda: (st.A(2), st.A(1, 2), trivial_module(st.A(1, 2))),
+        "A3-E2-F2": lambda: (st.A(3), st.E(2, 3), trivial_module(st.E(2, 3))),
+    }[case]()
+    _same(induce(a, b, m), _ref_induce(a, b, m))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -45,6 +46,15 @@ def test_resolution_handles_negative_degrees():
     res = minimal_resolution(di1, 3, 6)
     assert res.generator_degrees(0) == [-6]
     assert res.check_exactness()
+
+
+def test_exactness_check_ignores_degrees_without_slots(joker):
+    # every stage has slots only up to its last generator plus the top
+    # degree, so a huge t_max costs the check nothing
+    res = minimal_resolution(joker, 3, 10**6)
+    start = time.perf_counter()
+    assert res.check_exactness()
+    assert time.perf_counter() - start < 5
 
 
 def test_a2_resolution_is_minimal_exact_and_matches_hom_oracle(A2):
