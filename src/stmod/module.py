@@ -15,6 +15,8 @@ fresh modules and never mutate their inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .f2linalg import F2Matrix, F2Span, rref, vec_support
 from . import steenrod
 from .steenrod import SteenrodElt, SubHopfAlgebra
@@ -216,10 +218,10 @@ class ModuleMap:
         if verify:
             bad = self._equivariance_defect()
             if bad is not None:
-                gi, d = bad
+                gi, d, j = bad
                 raise ValueError(
                     f"map does not commute with {source.algebra.gen_names[gi]} "
-                    f"at degree {d}")
+                    f"at degree {d} on {source.labels[d][j]}")
 
     def mat(self, d: int) -> F2Matrix:
         m = self.mats.get(d)
@@ -228,12 +230,17 @@ class ModuleMap:
         return m
 
     def _equivariance_defect(self):
+        """(generator, degree, source column) of the first place where
+        g*phi and phi*g differ, or None when the map is equivariant."""
         for gi, g in enumerate(self.source.algebra.gen_degrees):
             for d in self.source.degrees():
                 left = self.target.action(gi, d + self.shift) @ self.mat(d)
                 right = self.mat(d + g) @ self.source.action(gi, d)
-                if left != right:
-                    return gi, d
+                diff = 0
+                for a, b in zip(left.data, right.data):
+                    diff |= a ^ b
+                if diff:
+                    return gi, d, (diff & -diff).bit_length() - 1
         return None
 
     @staticmethod
@@ -428,51 +435,53 @@ def dual(m: GradedModule) -> GradedModule:
 
 
 def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
-    """Tensor product with the diagonal action through the coproduct."""
+    """Tensor product with the diagonal action through the coproduct.
+
+    Degree d is the sum of the blocks m_d1 (x) n_d2 with d1 + d2 = d, d1
+    ascending, and x_i1 (x) y_i2 sits at offset[d1, d2] + i1 * dim n_d2 + i2.
+    """
     alg = m.algebra
     if alg != n.algebra:
         raise ValueError("tensor factors live over different algebras")
     if not alg.is_sub_hopf:
         raise NoDiagonalActionError(
             f"{alg.name} is not coproduct-closed; no diagonal action")
-    pairs: dict[int, list[tuple[int, int, int, int]]] = {}
+    offset: dict[tuple[int, int], int] = {}
+    labels: dict[int, list[str]] = {}
     for d1 in m.degrees():
         for d2 in n.degrees():
-            lst = pairs.setdefault(d1 + d2, [])
-            for i1 in range(m.dim(d1)):
-                for i2 in range(n.dim(d2)):
-                    lst.append((d1, i1, d2, i2))
-    index: dict[tuple[int, int, int, int], int] = {}
-    labels = {}
-    for d, lst in pairs.items():
-        labels[d] = tuple(f"{m.labels[d1][i1]}|{n.labels[d2][i2]}"
-                          for d1, i1, d2, i2 in lst)
-        for pos, key in enumerate(lst):
-            index[key] = pos
+            lst = labels.setdefault(d1 + d2, [])
+            offset[d1, d2] = len(lst)
+            lst += [f"{x}|{y}" for x in m.labels[d1] for y in n.labels[d2]]
     actions: dict[int, dict[int, F2Matrix]] = {}
     for gi, gen in enumerate(alg.generators):
         g = alg.gen_degrees[gi]
-        cop = steenrod.coproduct(gen)
-        per = {}
-        for d, lst in pairs.items():
-            target = pairs.get(d + g, [])
-            if not target:
+        terms = []  # (|a|, a.x columns per degree, |b|, b.y columns per degree)
+        for a, b in steenrod.coproduct(gen):
+            aop, bop = m.element_op(a), n.element_op(b)
+            terms.append((a.degree(), {d: aop.mat(d).columns() for d in m.degrees()},
+                          b.degree(), {d: bop.mat(d).columns() for d in n.degrees()}))
+        cols = {d: [0] * len(ls) for d, ls in labels.items() if d + g in labels}
+        for (d1, d2), off in offset.items():
+            out = cols.get(d1 + d2)
+            if out is None:
                 continue
-            cols = []
-            for d1, i1, d2, i2 in lst:
-                col = 0
-                for a, b in cop:
-                    da, db = a.degree(), b.degree()
-                    va = m.element_op(a).apply(d1, 1 << i1)
-                    vb = n.element_op(b).apply(d2, 1 << i2)
-                    if not va or not vb:
-                        continue
-                    for p in vec_support(va):
-                        for q in vec_support(vb):
-                            col ^= 1 << index[(d1 + da, p, d2 + db, q)]
-                cols.append(col)
-            per[d] = F2Matrix.from_cols(cols, len(target))
-        actions[gi] = per
+            for da, acols, db, bcols in terms:
+                o = offset.get((d1 + da, d2 + db))
+                if o is None:
+                    continue
+                stride = n.dim(d2 + db)
+                for i1, ax in enumerate(acols[d1]):
+                    # b.y < 2^stride, so b.y * spread is the disjoint sum of
+                    # b.y << (o + p * stride) over p in a.x
+                    spread = 0
+                    for p in vec_support(ax):
+                        spread |= 1 << (o + p * stride)
+                    if spread:
+                        base = off + i1 * n.dim(d2)
+                        for i2, by in enumerate(bcols[d2]):
+                            out[base + i2] ^= by * spread
+        actions[gi] = {d: F2Matrix.from_cols(c, len(labels[d + g])) for d, c in cols.items()}
     name = f"{m.meta.get('name', '?')}(x){n.meta.get('name', '?')}"
     return GradedModule(alg, labels, actions, meta={"name": name})
 
@@ -491,11 +500,7 @@ def direct_sum(m: GradedModule, n: GradedModule) -> GradedModule:
         for d in labels:
             am = m.action(gi, d)
             bm = n.action(gi, d)
-            cols = []
-            for j in range(am.cols):
-                cols.append(am.col(j))
-            for j in range(bm.cols):
-                cols.append(bm.col(j) << am.rows)
+            cols = am.columns() + [c << am.rows for c in bm.columns()]
             per[d] = F2Matrix.from_cols(cols, am.rows + bm.rows)
         actions[gi] = per
     name = f"{m.meta.get('name', '?')}(+){n.meta.get('name', '?')}"
@@ -555,10 +560,9 @@ def _free_quotient(alg: SubHopfAlgebra, v: GradedModule, relations,
         kept[d] = [j for j in range(len(lst)) if j not in pivots]
 
     def project(d: int, vec: int) -> int:
-        vec, out = spans[d].reduce(vec)[0], 0
-        for pos, j in enumerate(kept[d]):
-            if (vec >> j) & 1:
-                out |= 1 << pos
+        out = 0
+        for j in vec_support(spans[d].reduce(vec)[0]):
+            out |= 1 << bisect_left(kept[d], j)
         return out
 
     labels = {d: tuple(f"{label_prefix}{d}_{k}" for k in range(len(js)))

@@ -22,8 +22,8 @@ from random import Random
 from .f2linalg import (F2Matrix, F2Span, kernel_basis, rref, solve_matrix,
                        vec_support)
 from . import steenrod
-from .module import (GradedModule, ModuleMap, dual, margolis_homology,
-                     regular_module, aug_ideal_module, suspend, tensor)
+from .module import (GradedModule, ModuleMap, _free_quotient, aug_ideal_module,
+                     direct_sum, dual, margolis_homology, suspend, tensor)
 
 
 class InconclusiveIsomorphism(RuntimeError):
@@ -33,40 +33,29 @@ class InconclusiveIsomorphism(RuntimeError):
 
 @dataclass
 class Decomposition:
-    """module ~ (+) algebra[d] for d in free_part, plus reduced_part.
+    """module ~ F (+) reduced_part, F free on generators in degrees free_part.
 
-    ``witnesses[k]`` embeds the k-th free summand into the original module;
-    ``reduced_inclusion`` embeds the reduced part.  Together the images span
-    the module (checked by ``verify``).
+    ``isomorphism`` is the verified module map direct_sum(F, reduced_part)
+    -> module; it sends b (x) x in F to b*x and includes the reduced part.
     """
 
     module: GradedModule
     free_part: tuple[int, ...]
     reduced_part: GradedModule
-    witnesses: tuple[ModuleMap, ...]
-    reduced_inclusion: ModuleMap
+    isomorphism: ModuleMap
 
     def verify(self) -> bool:
-        """The witness columns assemble to an isomorphism onto the module."""
-        for d in self.module.degrees():
-            cols = []
-            for w in self.witnesses:
-                cols.extend(w.mat(d).columns())
-            cols.extend(self.reduced_inclusion.mat(d).columns())
-            if len(cols) != self.module.dim(d):
-                return False
-            mat = F2Matrix.from_cols(cols, self.module.dim(d))
-            if rref(mat)[1] != self.module.dim(d):
-                return False
-        return True
+        """The isomorphism is bijective in every degree."""
+        return self.isomorphism.is_bijective()
 
 
-def _submodule_on_kernel(m: GradedModule, constraint_rows) -> tuple[GradedModule, ModuleMap]:
+def _submodule_on_kernel(m: GradedModule, constraint_rows) -> tuple[GradedModule, dict]:
     """The submodule cut out per degree by the given functionals.
 
     constraint_rows: dict degree -> list of packed row functionals on m_d.
-    Returns (C, inclusion).  The kernel must be action-invariant; action
-    matrices for C are solved through the inclusion columns.
+    Returns (C, basis), basis[d] the packed vectors of m_d that C's basis
+    vectors are.  The kernel must be action-invariant; action matrices for
+    C are solved through these vectors.
     """
     basis: dict[int, list[int]] = {}
     for d in m.degrees():
@@ -94,8 +83,7 @@ def _submodule_on_kernel(m: GradedModule, constraint_rows) -> tuple[GradedModule
         actions[gi] = per
     sub = GradedModule(m.algebra, labels, actions,
                        meta={"name": f"{m.meta.get('name', '?')}~"})
-    inclusion = ModuleMap(sub, m, {d: incl[d] for d in labels})
-    return sub, inclusion
+    return sub, basis
 
 
 def reduce_module(m: GradedModule) -> Decomposition:
@@ -103,37 +91,25 @@ def reduce_module(m: GradedModule) -> Decomposition:
 
     Degree by degree, lowest first, the basis vector e_j of m_d is a
     generator x when Lambda*e_j is independent of the Lambda-images of the
-    basis vectors before it, and its witness is b |-> b*x.  The splitting
-    functionals on m_(d+e) are the coordinates at the pivots (lowest set
-    bits) of the span of these Lambda-images.  Their matrix against the
-    Lambda*x is invertible, since the span's echelon rows, one per x, are
-    triangular at the pivots.  Every constraint v |-> gamma(b*v) goes into
-    one kernel computation.  The complement is the one that stripping one
-    summand at a time, with the first coordinate of each Lambda*x in
-    turn, would reach.  A module with no free summand is returned as it
-    is.
+    basis vectors before it.  The splitting functionals on m_(d+e) are the
+    coordinates at the pivots (lowest set bits) of the span of these
+    Lambda-images.  Their matrix against the Lambda*x is invertible, since
+    the span's echelon rows, one per x, are triangular at the pivots.
+    Every constraint v |-> gamma(b*v) goes into one kernel computation.
+    The complement is the one that stripping one summand at a time, with
+    the first coordinate of each Lambda*x in turn, would reach.  The free
+    module F on the x maps to m by b (x) x |-> b*x; with the inclusion of
+    the complement this is one isomorphism, verified as a module map.  A
+    module with no free summand is returned as it is.
     """
     alg = m.algebra
     lam_op = m.element_op(alg.integral())
     e = alg.top_degree
-    reg = regular_module(alg)
-    free_part: list[int] = []
-    witnesses: list[ModuleMap] = []
+    picked: dict[int, list[int]] = {}
     constraints: dict[int, list[int]] = {}
     for d in m.degrees():
         images = F2Span()
-        op_cols = None  # op_cols[bi][j] = basis[bi] * e_j, read once per degree
-        for j, lam_x in enumerate(lam_op.mat(d).columns()):
-            if not images.add(lam_x):
-                continue
-            if op_cols is None:
-                op_cols = [m.basis_op(bi).mat(d).columns() for bi in range(alg.dim)]
-            # witness: algebra[d] -> m, b |-> b * x with x = e_j
-            free_part.append(d)
-            witnesses.append(ModuleMap(suspend(reg, d), m, {
-                bd + d: F2Matrix.from_cols(
-                    [op_cols[bi][j] for bi in alg.basis_by_degree(bd)], m.dim(bd + d))
-                for bd in reg.degrees()}))
+        picked[d] = [j for j, lam_x in enumerate(lam_op.mat(d).columns()) if images.add(lam_x)]
         pivots = images.pivots()
         if not pivots:
             continue
@@ -142,10 +118,23 @@ def reduce_module(m: GradedModule) -> Decomposition:
             for bi in alg.basis_by_degree(d + e - vd):
                 rows = m.basis_op(bi).mat(vd).data
                 constraints.setdefault(vd, []).extend(rows[p] for p in pivots)
+    free_part = tuple(d for d, js in picked.items() for _ in js)
     if not free_part:
-        return Decomposition(m, (), m, (), ModuleMap.identity(m))
-    reduced, inclusion = _submodule_on_kernel(m, constraints)
-    return Decomposition(m, tuple(free_part), reduced, tuple(witnesses), inclusion)
+        return Decomposition(m, (), m, ModuleMap.identity(m))
+    gens = GradedModule(alg, {d: tuple(m.labels[d][j] for j in js)
+                              for d, js in picked.items()}, {})
+    free, slots = _free_quotient(alg, gens, (), name="free", label_prefix="f")
+    reduced, basis = _submodule_on_kernel(m, constraints)
+    mats = {}
+    for d in m.degrees():
+        cols, op_cols = [], {}  # op_cols[a, e]: columns of basis[a] on m_e
+        for a, vd, i in slots.get(d, ()):
+            if (a, vd) not in op_cols:
+                op_cols[a, vd] = m.basis_op(a).mat(vd).columns()
+            cols.append(op_cols[a, vd][picked[vd][i]])
+        mats[d] = F2Matrix.from_cols(cols + basis[d], m.dim(d))
+    isomorphism = ModuleMap(direct_sum(free, reduced), m, mats)
+    return Decomposition(m, free_part, reduced, isomorphism)
 
 
 def loop(m: GradedModule) -> GradedModule:

@@ -1,6 +1,7 @@
 """Module file grammar: parsing, serialization, fixture certification."""
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from stmod import fixtures, modfile, steenrod as st
 from stmod.modfile import ModuleFileError, parse_algebra, parse_module, \
@@ -145,3 +146,49 @@ def test_malformed_milnor_tuple_in_action_is_located():
     err = _located_error("module X over A(1)\ngenerator a degree 0\n"
                          "generator b degree 1\naction Sq(,1) a = b\n")
     assert err.line == 4 and "one integer" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzzing: every input parses or fails with the grammar's own error
+
+_ELEMENT_PIECES = ["Sq^1", "Sq^2", "Sq^3", "Sq^4", "Sq^0", "Sq(1)", "Sq(0,1)", "Sq(1, 1)",
+                   "Sq()", "Sq(,)", "Sq(1,,2)", "P(1,1)", "P(1, 2)", "P(2,1)", "1", "0",
+                   " ", "+", "+", "*", "*", "Sq^", "Sq", "(", ")", "2", "x", "-"]
+_LINE_TOKENS = ["module", "generator", "action", "over", "degree", "=", "+", "#",
+                "A(1)", "A1", "E(2)", "A(9)", "B(1)", "a", "b", "-1", "0", "2", "1.5",
+                "Sq^1", "Sq^2", "Sq^4", "P(1,1)", "Sq(1)", "Sq(0,1)"]
+_LABELS = hst.sampled_from(["a", "b", "c", "d"])
+
+element_texts = (hst.lists(hst.sampled_from(_ELEMENT_PIECES), max_size=8).map("".join)
+                 | hst.text(max_size=10))
+# files of well-formed generator and action lines, so that they reach the
+# label, degree and duplicate checks, ending in at most one line of token
+# soup or raw text
+wellformed_lines = (
+    hst.builds("generator {} degree {}".format, _LABELS,
+               hst.integers(-2, 3) | hst.sampled_from(["x", "1.5", "-"]))
+    | hst.builds("action {} {} = {}".format,
+                 hst.sampled_from(["Sq^1", "Sq^2", "Sq^4", "Sq(1)", "P(1,1)", "Sq^3", "Sq^"]),
+                 _LABELS, hst.lists(_LABELS | hst.just(""), max_size=3).map(" + ".join)))
+junk_lines = (hst.lists(hst.sampled_from(_LINE_TOKENS) | hst.text(max_size=3),
+                        max_size=6).map(" ".join)
+              | hst.text(max_size=12))
+
+
+@settings(max_examples=200)
+@given(hst.sampled_from(["", "module M over A(1)", "module M over E(2)", "module M over A(0)"]),
+       hst.lists(wellformed_lines, max_size=8), hst.lists(junk_lines, max_size=1))
+def test_random_module_files_parse_or_raise_module_file_error(header, lines, junk):
+    try:
+        parse_module("\n".join([header] + lines + junk))
+    except ModuleFileError:
+        pass
+
+
+@settings(max_examples=200)
+@given(element_texts, hst.integers(0, 2))
+def test_random_elements_parse_or_raise_value_error(text, ambient):
+    try:
+        st.parse_element(text, ambient)
+    except ValueError:
+        pass

@@ -155,6 +155,57 @@ def test_tensor_dual_compatibility(joker, hz):
         assert iso_test(lhs, rhs) is not None
 
 
+def _ref_tensor(m, n):
+    """m (x) n entry by entry: x_i1 (x) y_i2 in the order of (d1, d2, i1, i2),
+    and g.(x (x) y) the sum of a.x (x) b.y over the coproduct terms a (x) b."""
+    pairs = {}
+    for d1 in m.degrees():
+        for d2 in n.degrees():
+            pairs.setdefault(d1 + d2, []).extend(
+                (d1, i1, d2, i2) for i1 in range(m.dim(d1)) for i2 in range(n.dim(d2)))
+    index = {key: pos for lst in pairs.values() for pos, key in enumerate(lst)}
+    labels = {d: tuple(f"{m.labels[d1][i1]}|{n.labels[d2][i2]}" for d1, i1, d2, i2 in lst)
+              for d, lst in pairs.items()}
+    actions = {}
+    for gi, gen in enumerate(m.algebra.generators):
+        g = m.algebra.gen_degrees[gi]
+        for d, lst in pairs.items():
+            if d + g not in pairs:
+                continue
+            cols = []
+            for d1, i1, d2, i2 in lst:
+                col = 0
+                for a, b in st.coproduct(gen):
+                    va = m.element_op(a).apply(d1, 1 << i1)
+                    vb = n.element_op(b).apply(d2, 1 << i2)
+                    for p in range(m.dim(d1 + a.degree())):
+                        for q in range(n.dim(d2 + b.degree())):
+                            if (va >> p) & 1 and (vb >> q) & 1:
+                                col ^= 1 << index[d1 + a.degree(), p, d2 + b.degree(), q]
+                cols.append(col)
+            actions.setdefault(gi, {})[d] = F2Matrix.from_cols(cols, len(pairs[d + g]))
+    name = f"{m.meta.get('name', '?')}(x){n.meta.get('name', '?')}"
+    return GradedModule(m.algebra, labels, actions, meta={"name": name})
+
+
+TENSOR_CASES = {
+    "Joker-Joker": lambda: (fixtures.load_fixture("Joker"), fixtures.load_fixture("Joker")),
+    "HZ-kU": lambda: (fixtures.load_fixture("HZ"), fixtures.load_fixture("kU")),
+    "I(A1)-Joker": lambda: (md.aug_ideal_module(st.A(1)), fixtures.load_fixture("Joker")),
+    "A2//A1-A2//A1": lambda: (hopf_quotient(st.A(2), st.A(1, 2)),) * 2,
+    "SO8modSp2-D": lambda: (fixtures.load_fixture("SO8modSp2"),
+                            dual(fixtures.load_fixture("SO8modSp2"))),
+    "HZ[-7]-DkU[-3]": lambda: (suspend(fixtures.load_fixture("HZ"), -7),
+                               suspend(dual(fixtures.load_fixture("kU")), -3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TENSOR_CASES))
+def test_tensor_matches_reference(case):
+    m, n = TENSOR_CASES[case]()
+    _same(tensor(m, n), _ref_tensor(m, n))
+
+
 # ---------------------------------------------------------------------------
 # quotients
 

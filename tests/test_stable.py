@@ -1,5 +1,6 @@
 """Free-summand stripping, loop functors, isomorphism search, exactness."""
 
+import re
 from functools import reduce
 from operator import xor
 from random import Random
@@ -50,10 +51,29 @@ def test_reduce_idempotent(joker, hz):
         assert again.reduced_part.dims() == dec.reduced_part.dims()
 
 
+@pytest.mark.parametrize("d, col, message", [
+    (3, 0, "Sq^1 at degree 3 on a:f3_0"),
+    (0, 4, "Sq^1 at degree 0 on b:c0_0"),
+    # Sq^2 then fails on both a:f0_1 and a:f0_2; the first is named
+    (2, 1, "Sq^2 at degree 0 on a:f0_1"),
+])
+def test_broken_isomorphism_names_its_column(joker, d, col, message):
+    iso = reduce_module(tensor(joker, joker)).isomorphism
+    mats = dict(iso.mats)
+    data = list(mats[d].data)
+    data[0] ^= 1 << col
+    mats[d] = F2Matrix(mats[d].rows, mats[d].cols, tuple(data))
+    with pytest.raises(ValueError, match=re.escape(f"map does not commute with {message}")):
+        ModuleMap(iso.source, iso.target, mats)
+
+
 def test_reduce_witnesses_are_module_maps(hz):
-    dec = reduce_module(tensor(hz, hz))
-    for w in dec.witnesses:
-        assert w._equivariance_defect() is None
+    m = tensor(hz, hz)
+    dec = reduce_module(m)
+    iso = dec.isomorphism
+    assert iso.target is m
+    assert iso._equivariance_defect() is None
+    assert iso.source.dims() == m.dims()
     assert dec.verify()
 
 
@@ -78,7 +98,8 @@ def a2_mod_a1():
 
 
 def test_free_part_is_the_rank_of_the_integral():
-    mods = [a2_mod_a1(), tensor(a2_mod_a1(), a2_mod_a1())]
+    a21 = a2_mod_a1()
+    mods = [a21, tensor(a21, a21), tensor(tensor(a21, a21), a21)]
     for name in fixtures.fixture_names():
         m = fixtures.load_fixture(name)
         mods += [m, tensor(m, m)] if m.total_dim <= 8 else [m]
