@@ -3,7 +3,8 @@
 Every verb reads modules from the shipped fixture library (--fixture) or
 from module definition files (--file), streams deterministic output to
 stdout (or --out), and exits 0 on success, 1 on a domain error, 2 on a
-usage error.
+usage error.  Only the invoked verb's parser is built, so a command does
+not pay for building the other verbs' parsers.
 """
 
 from __future__ import annotations
@@ -90,17 +91,8 @@ def _serialized(m: md.GradedModule, name: str) -> str:
         # custom subalgebras have no file token; emit a readable summary
         lines = [f"# {name} over {m.algebra.name} (outside the file grammar)",
                  f"# dims: {m.dims()}"]
-        for gi, gname in enumerate(m.algebra.gen_names):
-            g = m.algebra.gen_degrees[gi]
-            for d in m.degrees():
-                mat = m.action(gi, d)
-                for j in range(mat.cols):
-                    col = mat.col(j)
-                    if col:
-                        targets = [m.labels[d + g][i] for i in range(mat.rows)
-                                   if (col >> i) & 1]
-                        lines.append(f"# {gname}: {m.labels[d][j]} -> "
-                                     + " + ".join(targets))
+        for gname, src, targets in modfile.action_entries(m):
+            lines.append(f"# {gname}: {src} -> " + " + ".join(targets))
         return "\n".join(lines) + "\n"
 
 
@@ -354,120 +346,89 @@ def _inputs(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _module_args(p, with_out=True):
-    p.add_argument("--fixture", help="name from the shipped fixture library")
-    p.add_argument("--file", help="module definition file")
-    if with_out:
-        p.add_argument("--out", help="write output to this path instead of stdout")
+_MODULE = (("--fixture", {"help": "name from the shipped fixture library"}),
+           ("--file", {"help": "module definition file"}))
+_OUT = (("--out", {"help": "write output to this path instead of stdout"}),)
+_JSON = (("--json", {"action": "store_true"}),)
+_SUB = (("--sub", {"required": True, "help": "A0, E1, P11, B, ..."}),)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _chart_args(smax: int, tmax: int):
+    return (("--smax", {"type": int, "default": smax}),
+            ("--tmax", {"type": int, "default": tmax}),
+            ("--format", {"choices": ("ascii", "csv", "svg"), "default": "ascii"}))
+
+
+# (name, help, handler, arguments): each argument is (flag, add_argument keywords)
+_VERBS = (
+    ("define", "parse, validate and re-serialize a module file", cmd_define,
+     _MODULE + _OUT),
+    ("validate", "check the module axioms (Wall relations)", cmd_validate,
+     _MODULE + _JSON),
+    ("tensor", "tensor product with the diagonal action", cmd_tensor,
+     _MODULE + _OUT
+     + (("--with", {"dest": "with_fixture", "help": "second factor (fixture name)"}),)),
+    ("dual", "linear dual, action through the antipode", cmd_dual, _MODULE + _OUT),
+    ("suspend", "shift all degrees", cmd_suspend,
+     _MODULE + _OUT + (("--by", {"type": int, "required": True}),)),
+    ("reduce", "strip free summands (integral criterion)", cmd_reduce, _MODULE),
+    ("loop", "syzygy / cosyzygy in the stable category", cmd_loop,
+     _MODULE + _OUT + (("--inverse", {"action": "store_true"}),
+                       ("--times", {"type": int, "default": 1}))),
+    ("quotient", "cyclic quotient by a left ideal", cmd_quotient,
+     (("--algebra", {"required": True, "help": "A(0)..A(3)"}),
+      ("--kill", {"action": "append", "required": True,
+                  "help": "ideal generator in element syntax (repeatable)"}),
+      ("--suspend", {"type": int, "default": 0}),
+      ("--out", {}))),
+    ("induce", "induce a module up along a subalgebra", cmd_induce,
+     _MODULE + _OUT
+     + (("--algebra", {"required": True, "help": "target algebra, e.g. A(1)"}),) + _SUB),
+    ("restrict", "restrict a module to a subalgebra", cmd_restrict,
+     _MODULE + _OUT + _SUB),
+    ("double", "regrade over the next algebra, degrees doubled", cmd_double,
+     _MODULE + _OUT),
+    ("ext", "Ext chart from a minimal resolution", cmd_ext,
+     _MODULE + _OUT + _chart_args(8, 24)),
+    ("extgroups", "Ext with module coefficients (Hom complex)", cmd_extgroups,
+     _MODULE + _OUT + (("--coeff", {"required": True, "help": "coefficient fixture"}),)
+     + _chart_args(6, 20)),
+    ("check-selfdual", "find the self-duality shift, if any", cmd_check_selfdual,
+     _MODULE + (("--stable", {"action": "store_true",
+                              "help": "compare after stripping free summands"}),) + _JSON),
+    ("check-exact", "verify a named sequence is exact", cmd_check_exact,
+     (("--sequence", {"required": True, "help": "bott or p11"}),)),
+    ("spin-check", "Spin verdict for an adjoint representation", cmd_spin_check,
+     (("--type", {"help": "root system type, e.g. G2, F4, E7, A5, B3"}),
+      ("--form", {"default": "adjoint", "help": "adjoint (default) or simply-connected"}),
+      ("--un", {"type": int, "help": "rank of a unitary group instead of a type"}))
+     + _JSON),
+    ("fixtures", "list or verify the shipped module library", cmd_fixtures,
+     (("--verify", {"action": "store_true"}),) + _JSON),
+)
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The ``stmod`` parser.  When ``verb`` names a verb, only its
+    subparser is built; the top-level usage still lists every verb."""
+    verbs = [v for v in _VERBS if v[0] == verb] or _VERBS
     ap = argparse.ArgumentParser(
         prog="stmod",
         description="Exact computations with modules over finite subalgebras "
                     "of the mod-2 Steenrod algebra.")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("define", help="parse, validate and re-serialize a module file")
-    _module_args(p)
-    p.set_defaults(func=cmd_define)
-
-    p = sub.add_parser("validate", help="check the module axioms (Wall relations)")
-    _module_args(p, with_out=False)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("tensor", help="tensor product with the diagonal action")
-    _module_args(p)
-    p.add_argument("--with", dest="with_fixture", help="second factor (fixture name)")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("dual", help="linear dual, action through the antipode")
-    _module_args(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("suspend", help="shift all degrees")
-    _module_args(p)
-    p.add_argument("--by", type=int, required=True)
-    p.set_defaults(func=cmd_suspend)
-
-    p = sub.add_parser("reduce", help="strip free summands (integral criterion)")
-    _module_args(p, with_out=False)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("loop", help="syzygy / cosyzygy in the stable category")
-    _module_args(p)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--times", type=int, default=1)
-    p.set_defaults(func=cmd_loop)
-
-    p = sub.add_parser("quotient", help="cyclic quotient by a left ideal")
-    p.add_argument("--algebra", required=True, help="A(0)..A(3)")
-    p.add_argument("--kill", action="append", required=True,
-                   help="ideal generator in element syntax (repeatable)")
-    p.add_argument("--suspend", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("induce", help="induce a module up along a subalgebra")
-    _module_args(p)
-    p.add_argument("--algebra", required=True, help="target algebra, e.g. A(1)")
-    p.add_argument("--sub", required=True, help="A0, E1, P11, B, ...")
-    p.set_defaults(func=cmd_induce)
-
-    p = sub.add_parser("restrict", help="restrict a module to a subalgebra")
-    _module_args(p)
-    p.add_argument("--sub", required=True, help="A0, E1, P11, B, ...")
-    p.set_defaults(func=cmd_restrict)
-
-    p = sub.add_parser("double", help="regrade over the next algebra, degrees doubled")
-    _module_args(p)
-    p.set_defaults(func=cmd_double)
-
-    p = sub.add_parser("ext", help="Ext chart from a minimal resolution")
-    _module_args(p)
-    p.add_argument("--smax", type=int, default=8)
-    p.add_argument("--tmax", type=int, default=24)
-    p.add_argument("--format", choices=("ascii", "csv", "svg"), default="ascii")
-    p.set_defaults(func=cmd_ext)
-
-    p = sub.add_parser("extgroups", help="Ext with module coefficients (Hom complex)")
-    _module_args(p)
-    p.add_argument("--coeff", required=True, help="coefficient fixture")
-    p.add_argument("--smax", type=int, default=6)
-    p.add_argument("--tmax", type=int, default=20)
-    p.add_argument("--format", choices=("ascii", "csv", "svg"), default="ascii")
-    p.set_defaults(func=cmd_extgroups)
-
-    p = sub.add_parser("check-selfdual", help="find the self-duality shift, if any")
-    _module_args(p, with_out=False)
-    p.add_argument("--stable", action="store_true",
-                   help="compare after stripping free summands")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_selfdual)
-
-    p = sub.add_parser("check-exact", help="verify a named sequence is exact")
-    p.add_argument("--sequence", required=True, help="bott or p11")
-    p.set_defaults(func=cmd_check_exact)
-
-    p = sub.add_parser("spin-check", help="Spin verdict for an adjoint representation")
-    p.add_argument("--type", help="root system type, e.g. G2, F4, E7, A5, B3")
-    p.add_argument("--form", default="adjoint",
-                   help="adjoint (default) or simply-connected")
-    p.add_argument("--un", type=int, help="rank of a unitary group instead of a type")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_spin_check)
-
-    p = sub.add_parser("fixtures", help="list or verify the shipped module library")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fixtures)
-
+    metavar = None if len(verbs) > 1 else "{" + ",".join(v[0] for v in _VERBS) + "}"
+    sub = ap.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, help_text, func, arguments in verbs:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

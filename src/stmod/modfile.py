@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .f2linalg import F2Matrix
+from .f2linalg import F2Matrix, vec_support
 from . import steenrod
 from .module import GradedModule
 from .steenrod import SubHopfAlgebra
@@ -71,6 +71,7 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
     where: dict[str, tuple[int, int]] = {}  # label -> (degree, index in degree)
     per_degree: dict[int, list[str]] = {}
     action_lines: list[tuple[int, int, str, list[str]]] = []  # (line, gi, src, targets)
+    gen_index: dict[str, int] = {}  # action token -> generator index over alg
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,6 +86,7 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
                 alg = parse_algebra(parts[3])
             except ModuleFileError as exc:
                 raise ModuleFileError(str(exc), ln) from exc
+            gen_index = {}
         elif parts[0] == "generator":
             if alg is None:
                 raise ModuleFileError("generator line before module header", ln)
@@ -106,7 +108,10 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
             m = re.match(r"action\s+(\S+)\s+(\S+)\s*=\s*(.+)$", line)
             if not m:
                 raise ModuleFileError("expected: action <gen> <label> = <label> [+ ...]", ln)
-            gi = _find_generator(alg, m.group(1), ln)
+            token = m.group(1)
+            gi = gen_index.get(token)
+            if gi is None:
+                gi = gen_index[token] = _find_generator(alg, token, ln)
             src = m.group(2)
             targets = [t.strip() for t in m.group(3).split("+")]
             action_lines.append((ln, gi, src, targets))
@@ -150,6 +155,20 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
     return GradedModule(alg, labels, actions, meta={"name": name})
 
 
+def action_entries(m: GradedModule):
+    """(generator name, source label, target labels) of every nonzero
+    generator action on a basis element, in file order."""
+    alg = m.algebra
+    for gi, gname in enumerate(alg.gen_names):
+        per_degree = m.actions.get(gi, {})
+        g = alg.gen_degrees[gi]
+        for d in sorted(per_degree):
+            sources, targets = m.labels[d], m.labels[d + g]
+            for j, col in enumerate(per_degree[d].columns()):
+                if col:
+                    yield gname, sources[j], [targets[i] for i in vec_support(col)]
+
+
 def serialize_module(m: GradedModule, name: str | None = None) -> str:
     """Deterministic module file for a module over an A(n)/E(n) preset."""
     alg = m.algebra
@@ -158,16 +177,6 @@ def serialize_module(m: GradedModule, name: str | None = None) -> str:
     for d in m.degrees():
         for label in m.labels[d]:
             lines.append(f"generator {label} degree {d}")
-    for gi, gname in enumerate(alg.gen_names):
-        g = alg.gen_degrees[gi]
-        for d in m.degrees():
-            mat = m.action(gi, d)
-            for j in range(mat.cols):
-                col = mat.col(j)
-                if not col:
-                    continue
-                targets = [m.labels[d + g][i] for i in range(mat.rows)
-                           if (col >> i) & 1]
-                lines.append(f"action {gname} {m.labels[d][j]} = "
-                             + " + ".join(targets))
+    for gname, src, targets in action_entries(m):
+        lines.append(f"action {gname} {src} = " + " + ".join(targets))
     return "\n".join(lines) + "\n"

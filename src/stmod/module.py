@@ -296,9 +296,6 @@ class ModuleMap:
                 return False
         return True
 
-    def apply(self, d: int, vec: int) -> int:
-        return self.mat(d).mat_vec(vec)
-
 
 # ---------------------------------------------------------------------------
 # Validation

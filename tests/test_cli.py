@@ -1,5 +1,6 @@
 """The stmod command: verbs, exit codes, output formats."""
 
+import argparse
 import json
 import os
 import re
@@ -268,6 +269,40 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-verb"])
     assert err.value.code == 2
+
+
+def _verb_parsers(parser):
+    """The subparsers of a ``stmod`` parser, by verb."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("verb", list(_verb_parsers(cli.build_parser())))
+def test_one_verb_parser_matches_full_parser(verb):
+    one = _verb_parsers(cli.build_parser(verb))
+    assert list(one) == [verb]
+    assert one[verb].format_help() == _verb_parsers(cli.build_parser())[verb].format_help()
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("-h",), ("no-such-verb",), ("ext", "--bogus"), ("ext", "--smax", "x"),
+    ("reduce", "-h"),
+], ids=["no-args", "help", "unknown-verb", "ext-bogus-flag", "ext-bad-int", "reduce-help"])
+def test_one_verb_parser_output_matches_full_parser(capsys, monkeypatch, argv):
+    got = _outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    assert got == _outcome(capsys, argv)
+    assert got[0] in (0, 2) and got[1] + got[2]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Module file grammar: parsing, serialization, fixture certification."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from stmod import fixtures, modfile, steenrod as st
 from stmod.modfile import ModuleFileError, parse_algebra, parse_module, \
     serialize_module
-from stmod.module import validate
+from stmod.module import dual, validate
 from stmod.stable import iso_test
 
 JOKER_TEXT = """
@@ -146,6 +148,58 @@ def test_malformed_milnor_tuple_in_action_is_located():
     err = _located_error("module X over A(1)\ngenerator a degree 0\n"
                          "generator b degree 1\naction Sq(,1) a = b\n")
     assert err.line == 4 and "one integer" in str(err)
+
+
+def test_each_action_token_is_parsed_once(monkeypatch):
+    calls = Counter()
+    parse_element = st.parse_element
+
+    def counting(text, *args):
+        calls[text] += 1
+        return parse_element(text, *args)
+
+    monkeypatch.setattr(st, "parse_element", counting)
+    m = parse_module(JOKER_TEXT)
+    assert calls == {"Sq^1": 1, "Sq^2": 1}
+    assert serialize_module(m).count("\naction ") == 5
+
+
+def test_two_spellings_of_one_generator_parse_alike():
+    mixed = JOKER_TEXT.replace("action Sq^2 b = d", "action Sq(2) b = d")
+    assert mixed != JOKER_TEXT
+    assert parse_module(mixed) == parse_module(JOKER_TEXT)
+    assert serialize_module(parse_module(mixed)) == serialize_module(parse_module(JOKER_TEXT))
+
+
+def test_bad_action_token_is_located_at_its_first_use():
+    err = _located_error("module X over A(1)\ngenerator a degree 0\ngenerator b degree 3\n"
+                         "generator c degree 6\naction Sq^3 a = b\naction Sq^3 b = c\n")
+    assert err.line == 5 and "Sq^3 is not a generator of A(1)" in str(err)
+
+
+def test_action_tokens_are_resolved_again_after_a_new_header():
+    err = _located_error("module X over A(2)\ngenerator a degree 0\ngenerator b degree 4\n"
+                         "action Sq^4 a = b\nmodule X over A(1)\naction Sq^4 a = b\n")
+    assert err.line == 6 and "does not lie in A(1)" in str(err)
+
+
+@pytest.mark.parametrize("name", fixtures.fixture_names())
+def test_fixture_round_trips_byte_for_byte(name):
+    text = fixtures.fixture_path_text(name)
+    body = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+    assert serialize_module(fixtures.load_fixture(name)) == body
+    assert serialize_module(parse_module(body)) == body
+
+
+def test_action_lines_follow_generator_then_degree_then_index():
+    # a dual stores its action matrices from the top degree down
+    for name in fixtures.fixture_names():
+        m = dual(fixtures.load_fixture(name))
+        where = {label: (d, i) for d in m.degrees() for i, label in enumerate(m.labels[d])}
+        keys = [(m.algebra.gen_names.index(parts[1]), *where[parts[2]])
+                for parts in map(str.split, serialize_module(m).splitlines())
+                if parts[0] == "action"]
+        assert keys == sorted(keys), name
 
 
 # ---------------------------------------------------------------------------
