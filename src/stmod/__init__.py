@@ -3,8 +3,9 @@ Steenrod algebra, plus root-system Spin checks.
 
 The layers, bottom up:
 
-- ``f2linalg``: bit-packed GF(2) matrices and one elimination routine,
-  ``F2Span``, under rref, kernels, solving, quotients and closures.
+- ``f2linalg``: GF(2) matrices stored as bit-packed columns, and one
+  elimination routine, ``F2Span``, under rref, kernels, solving, quotients
+  and closures.
 - ``steenrod``: Milnor-basis arithmetic, A(n)/E(n) presets, subalgebra
   closures with generator-word expressions, Wall relations.
 - ``module``: graded modules given by generator actions; validation and

@@ -1,35 +1,26 @@
 """Dense exact linear algebra over GF(2).
 
-Rows are packed into Python integers (bit j of row i is the (i, j)
-entry), so row operations are single XORs and matrices of a few
-thousand columns stay cheap.  Everything here is total on matrices
-with zero rows or zero columns.
+Columns are packed into Python integers (bit i of column j is the (i, j)
+entry), so a matrix times a vector is one XOR per set bit of the vector
+and matrices of a few thousand rows stay cheap.  Everything here is total
+on matrices with zero rows or zero columns.
 
-There is one elimination routine, ``F2Span``: echelon rows keyed by
-their lowest set bit (the leftmost column), each carrying an int combo
-of the vectors it was built from.  ``eliminate``, ``rref``,
-``kernel_basis``, ``solve`` and ``solve_matrix`` are built on it, and
-every answer is canonical, so none depends on the order rows arrive in:
-a reduced vector is the unique element of its coset with no pivot bit
-set, ``rref`` pivots are the leftmost nonzero columns, a solution is the
-unique one supported on the greedy (leftmost) independent columns, and
-the kernel vector of each other column f is e_f plus the unique
-combination of greedy columns left of f.
+There is one elimination routine, ``F2Span``: echelon vectors keyed by
+their lowest set bit, each carrying an int combo of the vectors it was
+built from.  ``eliminate`` feeds it a matrix's columns in order, and
+``rref``, ``kernel_basis``, ``solve`` and ``solve_matrix`` are built on
+that one pass.  Every answer is canonical, so none depends on the order
+of the rows: a reduced vector is the unique element of its coset with no
+pivot bit set, ``rref`` pivots are the leftmost nonzero columns, a
+solution is the unique one supported on the greedy (leftmost) independent
+columns, and the kernel vector of each other column f is e_f plus the
+unique combination of greedy columns left of f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-
-def vec_from_bits(bits: Iterable[int]) -> int:
-    """Pack an iterable of 0/1 entries into a vector (bit 0 = first entry)."""
-    v = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << j
-    return v
+from typing import Iterable
 
 
 def vec_bits(v: int, n: int) -> list[int]:
@@ -47,25 +38,34 @@ def vec_support(v: int) -> list[int]:
     return out
 
 
+def apply_cols(cols, vec: int) -> int:
+    """The image of vec under the map with these packed columns: the sum
+    of the columns at the set bits of vec."""
+    out = 0
+    while vec:
+        low = vec & -vec
+        out ^= cols[low.bit_length() - 1]
+        vec ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class F2Matrix:
-    """Immutable GF(2) matrix with bit-packed rows."""
+    """Immutable GF(2) matrix with bit-packed columns."""
 
     rows: int
     cols: int
-    data: tuple[int, ...]
+    columns: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.data) != self.rows:
-            raise ValueError("row count does not match data length")
-        mask = (1 << self.cols) - 1
-        for r in self.data:
-            if r & ~mask:
-                raise ValueError("row has bits outside the column range")
+        if len(self.columns) != self.cols:
+            raise ValueError("column count does not match cols")
+        if self.columns and (min(self.columns) < 0 or max(self.columns) >> self.rows):
+            raise ValueError("column has entries outside the row range")
 
     @staticmethod
     def zero(rows: int, cols: int) -> "F2Matrix":
-        return F2Matrix(rows, cols, (0,) * rows)
+        return F2Matrix(rows, cols, (0,) * cols)
 
     @staticmethod
     def identity(n: int) -> "F2Matrix":
@@ -73,78 +73,53 @@ class F2Matrix:
 
     @staticmethod
     def from_rows(rows: Iterable[int], cols: int) -> "F2Matrix":
-        data = tuple(rows)
-        return F2Matrix(len(data), cols, data)
+        """Build a matrix from packed row vectors (bit j = column j): the
+        transpose of the matrix with these columns."""
+        rows = tuple(rows)
+        return F2Matrix(cols, len(rows), rows).transpose()
 
     @staticmethod
-    def from_cols(cols: list[int], rows: int) -> "F2Matrix":
+    def from_cols(cols: Iterable[int], rows: int) -> "F2Matrix":
         """Build a matrix from packed column vectors."""
-        data = [0] * rows
-        for j, c in enumerate(cols):
-            if c >> rows:
-                raise ValueError("column has entries outside the row range")
-            while c:
-                low = c & -c
-                data[low.bit_length() - 1] |= 1 << j
-                c ^= low
-        return F2Matrix(rows, len(cols), tuple(data))
+        cols = tuple(cols)
+        return F2Matrix(rows, len(cols), cols)
 
     def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
-    def col(self, j: int) -> int:
-        c = 0
-        for i, r in enumerate(self.data):
-            if (r >> j) & 1:
-                c |= 1 << i
-        return c
-
-    def columns(self) -> list[int]:
-        return list(self.transpose().data)
+        return (self.columns[j] >> i) & 1
 
     def to_dense(self) -> list[list[int]]:
-        return [vec_bits(r, self.cols) for r in self.data]
+        return [[(c >> i) & 1 for c in self.columns] for i in range(self.rows)]
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix.from_cols(list(self.data), self.cols)
+        out = [0] * self.rows
+        for j, c in enumerate(self.columns):
+            while c:
+                low = c & -c
+                out[low.bit_length() - 1] |= 1 << j
+                c ^= low
+        return F2Matrix(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.data)
+        return not any(self.columns)
 
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
         return F2Matrix(self.rows, self.cols,
-                        tuple(a ^ b for a, b in zip(self.data, other.data)))
+                        tuple(a ^ b for a, b in zip(self.columns, other.columns)))
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # walk only the set bits of each row that meet a nonzero row of other
-        nonzero = sum(1 << i for i, row in enumerate(other.data) if row)
-        data = []
-        for r in self.data:
-            r &= nonzero
-            acc = 0
-            while r:
-                low = r & -r
-                acc ^= other.data[low.bit_length() - 1]
-                r ^= low
-            data.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(data))
+        cols = self.columns
+        return F2Matrix(self.rows, other.cols,
+                        tuple(apply_cols(cols, c) for c in other.columns))
 
     def mat_vec(self, v: int) -> int:
         """Matrix times packed column vector (v indexed by columns)."""
         if v >> self.cols:
             raise ValueError("vector has entries outside the column range")
-        out = 0
-        for i, r in enumerate(self.data):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.data)
+        return apply_cols(self.columns, v)
 
 
 class F2Span:
@@ -227,17 +202,26 @@ def eliminate(cols: list[int]) -> tuple[F2Span, list[int]]:
 def rref(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
     """Reduced row-echelon form.
 
-    Returns (reduced, rank, pivot_cols).  Pivots are the leftmost
-    nonzero columns, so the output is canonical for the row space.
+    Returns (reduced, rank, pivot_cols).  Pivots are the greedy (leftmost
+    independent) columns, so the output is canonical for the row space.
+    Row r of the reduced matrix has its leading 1 in pivot column p_r, and
+    its entry in every other column f is bit p_r of f's kernel vector,
+    which writes column f as a sum of pivot columns.
     """
-    span = F2Span()
-    for row in m.data:
-        span.add(row)
-    pivots = span.pivots()
-    reduced = [(1 << p) | span.reduce(row ^ (1 << p))[0]
-               for p, (row, _) in zip(pivots, span.rows())]
-    reduced += [0] * (m.rows - len(reduced))
-    return F2Matrix(m.rows, m.cols, tuple(reduced)), len(pivots), pivots
+    kernel = {v.bit_length() - 1: v for v in eliminate(m.columns)[1]}
+    pivots = [j for j in range(m.cols) if j not in kernel]
+    row_of = {p: 1 << r for r, p in enumerate(pivots)}
+    cols = []
+    for j in range(m.cols):
+        v = kernel.get(j)
+        if v is None:
+            cols.append(row_of[j])
+            continue
+        c = 0
+        for p in vec_support(v ^ (1 << j)):
+            c |= row_of[p]
+        cols.append(c)
+    return F2Matrix(m.rows, m.cols, tuple(cols)), len(pivots), pivots
 
 
 def rank(m: F2Matrix) -> int:
@@ -245,23 +229,10 @@ def rank(m: F2Matrix) -> int:
 
 
 def kernel_basis(m: F2Matrix) -> list[int]:
-    """Basis (packed vectors over the columns) of {x : m @ x = 0}.
-
-    One vector per non-pivot column f: e_f plus the pivot columns whose
-    reduced row has a 1 in column f.
-    """
-    reduced, _, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for r, p in enumerate(pivots):
-            if (reduced.data[r] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    """Basis (packed vectors over the columns) of {x : m @ x = 0}: one
+    vector per non-pivot column f, e_f plus the unique combination of
+    pivot columns left of f that sums to column f."""
+    return eliminate(m.columns)[1]
 
 
 def solve(m: F2Matrix, b: int) -> int | None:
@@ -269,7 +240,7 @@ def solve(m: F2Matrix, b: int) -> int | None:
     columns of m, or None when the system is inconsistent."""
     if b >> m.rows:
         raise ValueError("right-hand side has entries outside the row range")
-    residual, x = eliminate(m.columns())[0].reduce(b)
+    residual, x = eliminate(m.columns)[0].reduce(b)
     return None if residual else x
 
 
@@ -278,11 +249,11 @@ def solve_matrix(m: F2Matrix, b: F2Matrix) -> F2Matrix | None:
     of m; None when any column is inconsistent."""
     if m.rows != b.rows:
         raise ValueError("row mismatch in matrix solve")
-    span = eliminate(m.columns())[0]
+    span = eliminate(m.columns)[0]
     cols = []
-    for bcol in b.columns():
+    for bcol in b.columns:
         residual, x = span.reduce(bcol)
         if residual:
             return None
         cols.append(x)
-    return F2Matrix.from_cols(cols, m.cols)
+    return F2Matrix(m.cols, b.cols, tuple(cols))

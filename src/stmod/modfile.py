@@ -79,6 +79,8 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
             continue
         parts = line.split()
         if parts[0] == "module":
+            if alg is not None:
+                raise ModuleFileError("second module header", ln)
             if len(parts) != 4 or parts[2] != "over":
                 raise ModuleFileError("expected: module <name> over <algebra>", ln)
             name = parts[1]
@@ -86,7 +88,6 @@ def parse_module(text: str, name_hint: str | None = None) -> GradedModule:
                 alg = parse_algebra(parts[3])
             except ModuleFileError as exc:
                 raise ModuleFileError(str(exc), ln) from exc
-            gen_index = {}
         elif parts[0] == "generator":
             if alg is None:
                 raise ModuleFileError("generator line before module header", ln)
@@ -164,7 +165,7 @@ def action_entries(m: GradedModule):
         g = alg.gen_degrees[gi]
         for d in sorted(per_degree):
             sources, targets = m.labels[d], m.labels[d + g]
-            for j, col in enumerate(per_degree[d].columns()):
+            for j, col in enumerate(per_degree[d].columns):
                 if col:
                     yield gname, sources[j], [targets[i] for i in vec_support(col)]
 

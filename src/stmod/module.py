@@ -37,8 +37,10 @@ class ShapeError(ValueError):
 class GradedModule:
     """A finite-dimensional graded module given by generator action matrices.
 
-    actions[gi][d] maps degree d to degree d + deg(generator gi); matrices
-    are stored column-per-source-basis-vector and omitted when zero.
+    actions[gi][d] maps degree d to degree d + deg(generator gi); each
+    matrix stores one packed column per source basis vector (the image of
+    that vector over the target degree's basis), and zero matrices are
+    omitted.
     """
 
     def __init__(self, algebra: SubHopfAlgebra,
@@ -88,13 +90,9 @@ class GradedModule:
             return F2Matrix.zero(self.dim(d + g), self.dim(d))
         return mat
 
-    def columns(self, gi: int, d: int) -> list[int]:
+    def columns(self, gi: int, d: int) -> tuple[int, ...]:
         """The columns of ``action(gi, d)`` as packed vectors."""
-        key = ("cols", gi, d)
-        hit = self._op_cache.get(key)
-        if hit is None:
-            hit = self._op_cache[key] = self.action(gi, d).columns()
-        return hit
+        return self.action(gi, d).columns
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedModule)
@@ -234,13 +232,11 @@ class ModuleMap:
         g*phi and phi*g differ, or None when the map is equivariant."""
         for gi, g in enumerate(self.source.algebra.gen_degrees):
             for d in self.source.degrees():
-                left = self.target.action(gi, d + self.shift) @ self.mat(d)
-                right = self.mat(d + g) @ self.source.action(gi, d)
-                diff = 0
-                for a, b in zip(left.data, right.data):
-                    diff |= a ^ b
-                if diff:
-                    return gi, d, (diff & -diff).bit_length() - 1
+                left = (self.target.action(gi, d + self.shift) @ self.mat(d)).columns
+                right = (self.mat(d + g) @ self.source.action(gi, d)).columns
+                if left != right:
+                    return gi, d, next(j for j, (a, b) in enumerate(zip(left, right))
+                                        if a != b)
         return None
 
     @staticmethod
@@ -321,12 +317,9 @@ def validate(m: GradedModule) -> list[str]:
             if op is None or op.is_zero():
                 continue
             for d, mat in sorted(op.mats.items()):
-                for j in range(mat.cols):
-                    if mat.col(j):
-                        violations.append(
-                            f"relation {rel.label} is nonzero on "
-                            f"{m.labels[d][j]} (degree {d})")
-                        break
+                j = next(j for j, c in enumerate(mat.columns) if c)
+                violations.append(f"relation {rel.label} is nonzero on "
+                                  f"{m.labels[d][j]} (degree {d})")
         return violations
     # generic subalgebra: the closure's relations basis[i] * generator[k] =
     # sum of basis elements present the algebra (products past the top
@@ -343,7 +336,7 @@ def validate(m: GradedModule) -> list[str]:
             diff = lhs.add(rhs)
             if not diff.is_zero():
                 d = min(diff.mats)
-                jj = next(c for c in range(diff.mats[d].cols) if diff.mats[d].col(c))
+                jj = next(j for j, c in enumerate(diff.mats[d].columns) if c)
                 violations.append(
                     f"basis product {alg.basis[i]} * {alg.gen_names[k]} acts "
                     f"inconsistently on {m.labels[d][jj]} (degree {d})")
@@ -456,8 +449,8 @@ def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
         terms = []  # (|a|, a.x columns per degree, |b|, b.y columns per degree)
         for a, b in steenrod.coproduct(gen):
             aop, bop = m.element_op(a), n.element_op(b)
-            terms.append((a.degree(), {d: aop.mat(d).columns() for d in m.degrees()},
-                          b.degree(), {d: bop.mat(d).columns() for d in n.degrees()}))
+            terms.append((a.degree(), {d: aop.mat(d).columns for d in m.degrees()},
+                          b.degree(), {d: bop.mat(d).columns for d in n.degrees()}))
         cols = {d: [0] * len(ls) for d, ls in labels.items() if d + g in labels}
         for (d1, d2), off in offset.items():
             out = cols.get(d1 + d2)
@@ -497,8 +490,8 @@ def direct_sum(m: GradedModule, n: GradedModule) -> GradedModule:
         for d in labels:
             am = m.action(gi, d)
             bm = n.action(gi, d)
-            cols = am.columns() + [c << am.rows for c in bm.columns()]
-            per[d] = F2Matrix.from_cols(cols, am.rows + bm.rows)
+            per[d] = F2Matrix.from_cols(am.columns + tuple(c << am.rows for c in bm.columns),
+                                        am.rows + bm.rows)
         actions[gi] = per
     name = f"{m.meta.get('name', '?')}(+){n.meta.get('name', '?')}"
     return GradedModule(m.algebra, labels, actions, meta={"name": name})

@@ -35,19 +35,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .f2linalg import F2Matrix, eliminate, rref, solve, vec_support
+from .f2linalg import F2Matrix, apply_cols, eliminate, rref, solve, vec_support
 from .module import GradedModule
 from .steenrod import SubHopfAlgebra
-
-
-def _apply(cols: list[int], vec: int) -> int:
-    """The image of vec under the map with these packed columns."""
-    out = 0
-    while vec:
-        low = vec & -vec
-        out ^= cols[low.bit_length() - 1]
-        vec ^= low
-    return out
 
 
 class FreeStage:
@@ -140,7 +130,7 @@ class FreeStage:
                     for r in vec_support(c):
                         part ^= value(ids[r])
                     if part:
-                        hit ^= _apply(self.columns(k, t + d), part)
+                        hit ^= apply_cols(self.columns(k, t + d), part)
                 done[i] = hit
             return hit
 
@@ -186,7 +176,7 @@ class FreeStage:
                     part ^= diff[off + low.bit_length() - 1]
                     c ^= low
                 if part:
-                    img ^= _apply(cols, part)
+                    img ^= apply_cols(cols, part)
             out.append(img)
         return out
 
@@ -361,8 +351,7 @@ def ext_groups(m: GradedModule, n: GradedModule, s_max: int,
         pos = {key: k for k, key in enumerate(src)}
         stage = res.stages[s + 1]
         prev = res.stages[s]
-        mat_rows = len(dst)
-        data = [0] * mat_rows
+        data = [0] * len(dst)
         for r, (gj, nd, i) in enumerate(dst):
             img = stage.images[gj]  # in prev at degree gd_j
             gd_j = stage.gen_degrees[gj]
@@ -377,7 +366,7 @@ def ext_groups(m: GradedModule, n: GradedModule, s_max: int,
                     if mat.entry(i, c):
                         key = (gi, src_deg, c)
                         data[r] ^= 1 << pos[key]
-        return F2Matrix(mat_rows, len(src), tuple(data))
+        return F2Matrix.from_rows(data, len(src))
 
     entries: dict[tuple[int, int], int] = {}
     gen_degrees_all = [gd for st_ in res.stages for gd in st_.gen_degrees]
@@ -485,7 +474,7 @@ def yoneda_action(res: MinimalResolution, s0: int, t0: int,
                 if bi == unit and gi in src_col:
                     rowbits |= 1 << src_col[gi]
             data.append(rowbits)
-        out[(s, t)] = F2Matrix(len(dst_gens), len(src_gens), tuple(data))
+        out[(s, t)] = F2Matrix.from_rows(data, len(src_gens))
     return out
 
 

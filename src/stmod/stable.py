@@ -49,22 +49,20 @@ class Decomposition:
         return self.isomorphism.is_bijective()
 
 
-def _submodule_on_kernel(m: GradedModule, constraint_rows) -> tuple[GradedModule, dict]:
+def _submodule_on_kernel(m: GradedModule,
+                         constraints: dict[int, F2Matrix]) -> tuple[GradedModule, dict]:
     """The submodule cut out per degree by the given functionals.
 
-    constraint_rows: dict degree -> list of packed row functionals on m_d.
-    Returns (C, basis), basis[d] the packed vectors of m_d that C's basis
-    vectors are.  The kernel must be action-invariant; action matrices for
-    C are solved through these vectors.
+    constraints: dict degree d -> matrix on m_d whose rows are the
+    functionals.  Returns (C, basis), basis[d] the packed vectors of m_d
+    that C's basis vectors are.  The kernel must be action-invariant;
+    action matrices for C are solved through these vectors.
     """
     basis: dict[int, list[int]] = {}
     for d in m.degrees():
-        rows = constraint_rows.get(d, [])
-        if not rows:
-            basis[d] = [1 << i for i in range(m.dim(d))]
-            continue
-        mat = F2Matrix.from_rows(rows, m.dim(d))
-        basis[d] = kernel_basis(mat)
+        mat = constraints.get(d)
+        basis[d] = (kernel_basis(mat) if mat is not None
+                    else [1 << i for i in range(m.dim(d))])
     labels = {d: tuple(f"c{d}_{k}" for k in range(len(vs)))
               for d, vs in basis.items() if vs}
     incl = {d: F2Matrix.from_cols(vs, m.dim(d)) for d, vs in basis.items() if vs}
@@ -95,7 +93,10 @@ def reduce_module(m: GradedModule) -> Decomposition:
     coordinates at the pivots (lowest set bits) of the span of these
     Lambda-images.  Their matrix against the Lambda*x is invertible, since
     the span's echelon rows, one per x, are triangular at the pivots.
-    Every constraint v |-> gamma(b*v) goes into one kernel computation.
+    Every constraint v |-> gamma(b*v) goes into one kernel computation:
+    the matrix of each b on m_v, masked to the pivot rows, is stacked
+    column by column under the ones before it, and the zero rows this
+    leaves do not change the kernel.
     The complement is the one that stripping one summand at a time, with
     the first coordinate of each Lambda*x in turn, would reach.  The free
     module F on the x maps to m by b (x) x |-> b*x; with the inclusion of
@@ -106,31 +107,40 @@ def reduce_module(m: GradedModule) -> Decomposition:
     lam_op = m.element_op(alg.integral())
     e = alg.top_degree
     picked: dict[int, list[int]] = {}
-    constraints: dict[int, list[int]] = {}
+    constraints = {d: [0] * m.dim(d) for d in m.degrees()}  # packed columns on m_d
+    heights = dict.fromkeys(m.degrees(), 0)
     for d in m.degrees():
         images = F2Span()
-        picked[d] = [j for j, lam_x in enumerate(lam_op.mat(d).columns()) if images.add(lam_x)]
-        pivots = images.pivots()
-        if not pivots:
+        picked[d] = [j for j, lam_x in enumerate(lam_op.mat(d).columns) if images.add(lam_x)]
+        mask = sum(1 << p for p in images.pivots())
+        if not mask:
             continue
         # complement: gamma_p(b * v) = 0 for every pivot p and deg(b) = d + e - deg(v)
+        height = m.dim(d + e)
         for vd in m.degrees():
             for bi in alg.basis_by_degree(d + e - vd):
-                rows = m.basis_op(bi).mat(vd).data
-                constraints.setdefault(vd, []).extend(rows[p] for p in pivots)
+                mat = m.basis_op(bi).mats.get(vd)
+                if mat is None:
+                    continue
+                cols, shift = constraints[vd], heights[vd]
+                for j, c in enumerate(mat.columns):
+                    cols[j] |= (c & mask) << shift
+                heights[vd] = shift + height
     free_part = tuple(d for d, js in picked.items() for _ in js)
     if not free_part:
         return Decomposition(m, (), m, ModuleMap.identity(m))
     gens = GradedModule(alg, {d: tuple(m.labels[d][j] for j in js)
                               for d, js in picked.items()}, {})
     free, slots = _free_quotient(alg, gens, (), name="free", label_prefix="f")
-    reduced, basis = _submodule_on_kernel(m, constraints)
+    reduced, basis = _submodule_on_kernel(
+        m, {d: F2Matrix(heights[d], m.dim(d), tuple(cols))
+            for d, cols in constraints.items() if heights[d]})
     mats = {}
     for d in m.degrees():
         cols, op_cols = [], {}  # op_cols[a, e]: columns of basis[a] on m_e
         for a, vd, i in slots.get(d, ()):
             if (a, vd) not in op_cols:
-                op_cols[a, vd] = m.basis_op(a).mat(vd).columns()
+                op_cols[a, vd] = m.basis_op(a).mat(vd).columns
             cols.append(op_cols[a, vd][picked[vd][i]])
         mats[d] = F2Matrix.from_cols(cols + basis[d], m.dim(d))
     isomorphism = ModuleMap(direct_sum(free, reduced), m, mats)
@@ -202,8 +212,8 @@ def _hom_solutions(m: GradedModule, n: GradedModule) -> tuple[list[int], list[tu
 
 def _unpack(v: int, blocks) -> dict[int, F2Matrix]:
     """The matrices phi_d of the packed solution v."""
-    return {d: F2Matrix(rows, cols, tuple((v >> (off + r * cols)) & ((1 << cols) - 1)
-                                          for r in range(rows)))
+    return {d: F2Matrix.from_rows([(v >> (off + r * cols)) & ((1 << cols) - 1)
+                                   for r in range(rows)], cols)
             for d, off, rows, cols in blocks}
 
 

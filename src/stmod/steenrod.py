@@ -59,6 +59,11 @@ def _normalize(r: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lst)
 
 
+def _term_str(t: tuple[int, ...]) -> str:
+    """A Milnor basis element as elements print it: 1 or Sq(r1,...,rl)."""
+    return "Sq(" + ",".join(str(x) for x in t) + ")" if t else "1"
+
+
 @lru_cache(maxsize=None)
 def milnor_basis(n: int) -> tuple[tuple[int, ...], ...]:
     """All Milnor basis exponent tuples of A(n), sorted by (degree, tuple)."""
@@ -164,7 +169,8 @@ class SteenrodElt:
             if t != _normalize(t):
                 raise ValueError(f"non-normalized exponent tuple {t}")
             if not fits_profile(t, self.ambient):
-                raise OutOfAmbientError(f"Sq{t} does not lie in A({self.ambient})")
+                raise OutOfAmbientError(
+                    f"{_term_str(t)} does not lie in A({self.ambient})")
 
     # -- structure ---------------------------------------------------------
 
@@ -205,16 +211,13 @@ class SteenrodElt:
             # the ambient tags were wrong in the first place
             if not fits_profile(t, self.ambient):
                 raise OutOfAmbientError(
-                    f"product escaped A({self.ambient}) at Sq{t}")
+                    f"product escaped A({self.ambient}) at {_term_str(t)}")
         return SteenrodElt(self.ambient, frozenset(acc))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for t in self.sorted_terms():
-            bits.append("1" if not t else "Sq(" + ",".join(str(x) for x in t) + ")")
-        return " + ".join(bits)
+        return " + ".join(_term_str(t) for t in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -556,7 +559,7 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
         for s in gens[gi].terms:
             for t in _term_product(basis_terms[bit], s):
                 if t not in index:
-                    raise OutOfAmbientError(f"product escaped A({ambient}) at Sq{t}")
+                    raise OutOfAmbientError(f"product escaped A({ambient}) at {_term_str(t)}")
                 col ^= 1 << index[t]
         columns[gi][bit] = col
         return col

@@ -265,6 +265,22 @@ def test_inhomogeneous_ideal_generator_exits_one(capsys):
     assert err == "error: ideal generator Sq(1) + Sq(2) is not homogeneous\n"
 
 
+@pytest.mark.parametrize("kill, name", [("Sq^4", "Sq(4)"), ("Sq(0,2)", "Sq(0,2)")])
+def test_out_of_algebra_element_is_named_as_it_prints(capsys, kill, name):
+    code, out, err = run(capsys, "quotient", "--algebra", "A(1)", "--kill", kill)
+    assert code == 1 and out == ""
+    assert err == f"error: {name} does not lie in A(1)\n"
+
+
+def test_validate_rejects_a_second_module_header(tmp_path, capsys):
+    p = tmp_path / "two_headers.mod"
+    p.write_text("module X over A(2)\ngenerator a degree 0\ngenerator b degree 4\n"
+                 "action Sq^4 a = b\nmodule X over A(1)\n")
+    code, out, err = run(capsys, "validate", "--file", str(p))
+    assert code == 1 and out == ""
+    assert "second module header (line 5)" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-verb"])

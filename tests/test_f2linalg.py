@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from stmod.f2linalg import (F2Matrix, F2Span, eliminate, kernel_basis, rank,
-                            rref, solve, solve_matrix, vec_bits, vec_from_bits,
-                            vec_support)
+                            rref, solve, solve_matrix, vec_bits, vec_support)
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +23,7 @@ def span_of(vecs: list[int]) -> set[int]:
 
 def greedy_columns(m: F2Matrix) -> list[int]:
     """Columns not in the span of the columns to their left, by enumeration."""
-    cols = m.columns()
+    cols = m.columns
     return [j for j in range(m.cols) if cols[j] not in span_of(cols[:j])]
 
 
@@ -166,7 +165,7 @@ def test_eliminate_against_rref_oracle(rows, cols, rnd):
     """One pass over [d | I]: image rank, kernel basis and span membership."""
     m = F2Matrix.from_rows([rnd.getrandbits(cols) if cols else 0
                             for _ in range(rows)], cols)
-    table, kernel = eliminate(m.columns())
+    table, kernel = eliminate(m.columns)
     assert table.dim == rank(m)
     assert len(kernel) == cols - rank(m)
     assert rank(F2Matrix.from_rows(kernel, cols)) == len(kernel)
@@ -190,12 +189,12 @@ def test_matmul_and_vec_agree():
     b = random_matrix(rng, 7, 4)
     prod = a @ b
     for j in range(4):
-        assert prod.col(j) == a.mat_vec(b.col(j))
+        assert prod.columns[j] == a.mat_vec(b.columns[j])
 
 
 def test_vec_pack_unpack():
-    bits = [1, 0, 1, 1, 0]
-    assert vec_bits(vec_from_bits(bits), 5) == bits
+    assert vec_bits(0b01101, 5) == [1, 0, 1, 1, 0]
+    assert vec_bits(0, 3) == [0, 0, 0]
 
 
 def test_total_on_degenerate_shapes():
@@ -261,10 +260,10 @@ def test_kernel_basis_is_canonical(rows, cols, rnd):
         assert len(hits) == 1
         want.append(hits[0])
     assert kernel_basis(m) == want
-    shuffled = list(m.data)
+    shuffled = list(m.transpose().columns)
     rnd.shuffle(shuffled)
     assert kernel_basis(F2Matrix.from_rows(shuffled, cols)) == want
-    assert eliminate(m.columns())[1] == want
+    assert eliminate(m.columns)[1] == want
 
 
 @given(hst.integers(0, 6), hst.integers(0, 7), hst.randoms(use_true_random=False))
@@ -288,7 +287,7 @@ def test_solve_matrix_is_solve_by_column(rows, cols, rhs, rnd):
         b = m @ small_matrix(cols, rhs, rnd)
     else:
         b = small_matrix(rows, rhs, rnd)
-    xs = [solve(m, b.col(j)) for j in range(rhs)]
+    xs = [solve(m, bcol) for bcol in b.columns]
     got = solve_matrix(m, b)
     if any(x is None for x in xs):
         assert got is None
@@ -309,7 +308,7 @@ def test_products_and_transposes_entrywise(rows, inner, cols, rnd):
     t = a.transpose()
     assert (t.rows, t.cols) == (inner, rows)
     assert t.to_dense() == dense_t
-    assert [vec_bits(c, rows) for c in a.columns()] == dense_t
+    assert [vec_bits(c, rows) for c in a.columns] == dense_t
     packed = [rnd.getrandbits(rows) if rows else 0 for _ in range(cols)]
     built = F2Matrix.from_cols(packed, rows)
     assert (built.rows, built.cols) == (rows, cols)
@@ -317,3 +316,39 @@ def test_products_and_transposes_entrywise(rows, inner, cols, rnd):
                                 for i in range(rows)]
     with pytest.raises(ValueError):
         F2Matrix.from_cols(packed + [1 << rows], rows)
+    with pytest.raises(ValueError):
+        F2Matrix.from_rows([1 << inner], inner)
+
+
+@given(hst.integers(0, 6), hst.integers(0, 6), hst.randoms(use_true_random=False))
+def test_constructor_checks_the_columns(rows, cols, rnd):
+    packed = tuple(rnd.getrandbits(rows) if rows else 0 for _ in range(cols))
+    assert F2Matrix(rows, cols, packed).columns == packed
+    for j in range(cols):
+        for bad in (packed[j] | 1 << rows, packed[j] | 1 << (rows + 3), -1):
+            with pytest.raises(ValueError, match="outside the row range"):
+                F2Matrix(rows, cols, packed[:j] + (bad,) + packed[j + 1:])
+    for wrong in (packed[:-1], packed + (0,)):
+        if len(wrong) != cols:
+            with pytest.raises(ValueError, match="column count"):
+                F2Matrix(rows, cols, wrong)
+
+
+def reference_rref(m: F2Matrix) -> tuple[F2Matrix, int, list[int]]:
+    """Row reduction on the rows: an F2Span over them, each echelon row
+    cleared at every other pivot, zero rows below."""
+    rows = m.transpose().columns
+    span = F2Span()
+    for row in rows:
+        span.add(row)
+    pivots = span.pivots()
+    reduced = [(1 << p) | span.reduce(row ^ (1 << p))[0]
+               for p, (row, _) in zip(pivots, span.rows())]
+    reduced += [0] * (m.rows - len(reduced))
+    return F2Matrix.from_rows(reduced, m.cols), len(pivots), pivots
+
+
+@given(hst.integers(0, 12), hst.integers(0, 12), hst.randoms(use_true_random=False))
+def test_rref_matches_row_reduction(rows, cols, rnd):
+    m = small_matrix(rows, cols, rnd)
+    assert rref(m) == reference_rref(m)

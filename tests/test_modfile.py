@@ -177,10 +177,11 @@ def test_bad_action_token_is_located_at_its_first_use():
     assert err.line == 5 and "Sq^3 is not a generator of A(1)" in str(err)
 
 
-def test_action_tokens_are_resolved_again_after_a_new_header():
+def test_second_module_header_is_rejected():
+    # action tokens already resolved over A(2) must not be read over A(1)
     err = _located_error("module X over A(2)\ngenerator a degree 0\ngenerator b degree 4\n"
-                         "action Sq^4 a = b\nmodule X over A(1)\naction Sq^4 a = b\n")
-    assert err.line == 6 and "does not lie in A(1)" in str(err)
+                         "action Sq^4 a = b\nmodule X over A(1)\n")
+    assert err.line == 5 and "second module header" in str(err)
 
 
 @pytest.mark.parametrize("name", fixtures.fixture_names())

@@ -60,9 +60,9 @@ def test_reduce_idempotent(joker, hz):
 def test_broken_isomorphism_names_its_column(joker, d, col, message):
     iso = reduce_module(tensor(joker, joker)).isomorphism
     mats = dict(iso.mats)
-    data = list(mats[d].data)
+    data = list(mats[d].transpose().columns)
     data[0] ^= 1 << col
-    mats[d] = F2Matrix(mats[d].rows, mats[d].cols, tuple(data))
+    mats[d] = F2Matrix.from_rows(data, mats[d].cols)
     with pytest.raises(ValueError, match=re.escape(f"map does not commute with {message}")):
         ModuleMap(iso.source, iso.target, mats)
 
@@ -229,16 +229,16 @@ def reference_search(m, n, budget=40000, seed=2024):
         if not mask:
             continue
         picked = [b for i, b in enumerate(basis) if mask >> i & 1]
-        data = {d: tuple(reduce(xor, rows) for rows in zip(*(b[d].data for b in picked)))
+        data = {d: tuple(reduce(xor, cols) for cols in zip(*(b[d].columns for b in picked)))
                 for d in basis[0]}
-        if all(rank(F2Matrix.from_rows(rows, len(rows))) == len(rows)
-               for rows in data.values()):
+        if all(rank(F2Matrix.from_cols(cols, len(cols))) == len(cols)
+               for cols in data.values()):
             return data, mask, sweep
     return None, None, sweep
 
 
 def map_data(f):
-    return {d: mat.data for d, mat in f.mats.items()}
+    return {d: mat.columns for d, mat in f.mats.items()}
 
 
 def test_iso_search_matches_reference_on_full_sweep():
