@@ -7,8 +7,10 @@ The layers, bottom up:
   elimination routine, ``F2Span``, under rref, kernels, solving, quotients
   and closures.
 - ``steenrod``: Milnor-basis arithmetic, A(n)/E(n) presets, subalgebra
-  closures with generator-word expressions, Wall relations.
-- ``module``: graded modules given by generator actions; validation and
+  closures with generator-word expressions and left decompositions, Wall
+  relations.
+- ``module``: graded modules given by generator actions, every other
+  basis element acting through its left decomposition; validation and
   the functor calculus (suspend, dual, tensor, quotients, induction,
   restriction, doubling, Margolis homology).
 - ``stable``: free-summand stripping via the Frobenius integral, loop

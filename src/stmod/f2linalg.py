@@ -23,11 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-def vec_bits(v: int, n: int) -> list[int]:
-    """Unpack vector v into a list of n 0/1 entries."""
-    return [(v >> j) & 1 for j in range(n)]
-
-
 def vec_support(v: int) -> list[int]:
     """Indices of the nonzero entries of v, ascending."""
     out = []
@@ -101,12 +96,6 @@ class F2Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.columns)
-
-    def __add__(self, other: "F2Matrix") -> "F2Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return F2Matrix(self.rows, self.cols,
-                        tuple(a ^ b for a, b in zip(self.columns, other.columns)))
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:

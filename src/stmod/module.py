@@ -1,12 +1,14 @@
 """Finite graded left modules over a SubHopfAlgebra, and the functor calculus.
 
 A module is specified by labelled basis elements in each (cohomological)
-degree together with one matrix per algebra *generator* per degree; the
-action of every other algebra element is derived from the generator-word
-expressions carried by the algebra.  ``validate`` certifies that the given
-matrices really define a module: over a full A(n) it checks that every Wall
-relation acts as the zero operator, over a general subalgebra it checks
-multiplicative consistency on the basis.
+degree together with one matrix per algebra *generator* per degree; every
+other algebra basis element b acts through its left decomposition
+b = sum_k g_k.c_k, as packed columns per degree (``basis_columns``).
+Generator words serve only the Wall relations: ``validate`` certifies that
+the given matrices really define a module, over a full A(n) by applying
+each Wall relation word by word and checking that it acts as zero, over a
+general subalgebra by checking the closure's presentation
+basis[i] * generator[k] = sum_j basis[j] column by column.
 
 Degrees are cohomological, may be negative, and actions raise degree.
 All objects are treated as immutable once built; the functors below return
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .f2linalg import F2Matrix, F2Span, rref, vec_support
+from .f2linalg import F2Matrix, F2Span, apply_cols, rref, vec_support
 from . import steenrod
 from .steenrod import SteenrodElt, SubHopfAlgebra
 
@@ -63,7 +65,8 @@ class GradedModule:
                     norm.setdefault(gi, {})[d] = mat
         self.actions = norm
         self.meta = dict(meta or {})
-        self._op_cache: dict = {}
+        self._op_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._elt_cache: dict = {}
 
     # -- shape ----------------------------------------------------------------
 
@@ -109,89 +112,59 @@ class GradedModule:
 
     # -- derived actions --------------------------------------------------------
 
-    def _word_op(self, word) -> "Operator":
-        op = Operator.identity(self)
-        for gi in reversed(word):
-            op = Operator.generator(self, gi).compose(op)
-        return op
+    def basis_op(self, i: int, d: int) -> tuple[int, ...]:
+        """Columns of the i-th algebra basis element on degree d, from its
+        left decomposition (see ``basis_columns``)."""
+        return basis_columns(self, i, d, self._op_cache)
 
-    def basis_op(self, i: int) -> "Operator":
-        """Action of the i-th algebra basis element, via its word expression."""
-        hit = self._op_cache.get(i)
+    def element_op(self, e: SteenrodElt, d: int) -> tuple[int, ...]:
+        """Columns of an element of the algebra's span on degree d: the sum
+        of the columns of the basis elements in its decomposition."""
+        key = (e.terms, d)
+        hit = self._elt_cache.get(key)
         if hit is None:
-            hit = Operator.zero(self, self.algebra.basis_degrees[i])
-            for word in self.algebra.expressions[i]:
-                hit = hit.add(self._word_op(word))
-            self._op_cache[i] = hit
-        return hit
-
-    def element_op(self, e: SteenrodElt) -> "Operator":
-        """Action of an arbitrary element of the algebra's span."""
-        key = ("elt", e.terms)
-        hit = self._op_cache.get(key)
-        if hit is None:
-            indices = self.algebra.decompose(e)
-            deg = e.degree() if not e.is_zero() else 0
-            hit = Operator.zero(self, deg)
-            for i in indices:
-                hit = hit.add(self.basis_op(i))
-            self._op_cache[key] = hit
+            out = [0] * self.dim(d)
+            for i in self.algebra.decompose(e):
+                for j, c in enumerate(self.basis_op(i, d)):
+                    out[j] ^= c
+            hit = self._elt_cache[key] = tuple(out)
         return hit
 
 
-class Operator:
-    """A degree-raising graded linear endo-map of one module."""
+def basis_columns(x, i: int, t: int, cache: dict) -> tuple[int, ...]:
+    """Packed columns of algebra basis element i on degree t of x, memoised
+    in cache by (i, t).
 
-    __slots__ = ("module", "shift", "mats")
-
-    def __init__(self, module: GradedModule, shift: int, mats: dict[int, F2Matrix]):
-        self.module = module
-        self.shift = shift
-        self.mats = {d: m for d, m in mats.items() if not m.is_zero()}
-
-    @staticmethod
-    def identity(module: GradedModule) -> "Operator":
-        return Operator(module, 0, {d: F2Matrix.identity(module.dim(d))
-                                    for d in module.degrees()})
-
-    @staticmethod
-    def zero(module: GradedModule, shift: int) -> "Operator":
-        return Operator(module, shift, {})
-
-    @staticmethod
-    def generator(module: GradedModule, gi: int) -> "Operator":
-        g = module.algebra.gen_degrees[gi]
-        return Operator(module, g,
-                        {d: module.action(gi, d) for d in module.degrees()})
-
-    def mat(self, d: int) -> F2Matrix:
-        m = self.mats.get(d)
-        if m is None:
-            return F2Matrix.zero(self.module.dim(d + self.shift), self.module.dim(d))
-        return m
-
-    def compose(self, inner: "Operator") -> "Operator":
-        """self after inner."""
-        shift = self.shift + inner.shift
-        mats = {}
-        for d in self.module.degrees():
-            if self.module.dim(d + shift) and self.module.dim(d):
-                mats[d] = self.mat(d + inner.shift) @ inner.mat(d)
-        return Operator(self.module, shift, mats)
-
-    def add(self, other: "Operator") -> "Operator":
-        if other.shift != self.shift:
-            raise ShapeError("cannot add operators of different degree shifts")
-        mats = dict(self.mats)
-        for d, m in other.mats.items():
-            mats[d] = mats[d] + m if d in mats else m
-        return Operator(self.module, self.shift, mats)
-
-    def apply(self, d: int, vec: int) -> int:
-        return self.mat(d).mat_vec(vec)
-
-    def is_zero(self) -> bool:
-        return not self.mats
+    x is anything with ``algebra``, ``dim(t)`` and the generator columns
+    ``columns(k, t)``: a module, or a free stage of a resolution.  The unit
+    acts as the identity; any other basis element b = sum_k g_k.c_k (its
+    ``left_decomposition``) acts as sum_k g_k.(c_k on degree t), each c_k a
+    sum of basis elements of lower degree.
+    """
+    key = (i, t)
+    hit = cache.get(key)
+    if hit is None:
+        alg = x.algebra
+        n = x.dim(t)
+        if i == alg.unit_index:
+            hit = tuple(1 << j for j in range(n))
+        else:
+            out = [0] * n
+            if x.dim(t + alg.basis_degrees[i]):
+                for k, c in alg.left_decomposition(i):
+                    d = alg.basis_degrees[i] - alg.gen_degrees[k]
+                    ids = alg.basis_by_degree(d)
+                    part = None
+                    for r in vec_support(c):
+                        cols = basis_columns(x, ids[r], t, cache)
+                        part = cols if part is None else [a ^ b for a, b in zip(part, cols)]
+                    gen = x.columns(k, t + d)
+                    for j, v in enumerate(part):
+                        if v:
+                            out[j] ^= apply_cols(gen, v)
+            hit = tuple(out)
+        cache[key] = hit
+    return hit
 
 
 class ModuleMap:
@@ -264,10 +237,7 @@ class ModuleMap:
             raise ValueError("image degree must match the cyclic generator degree")
         mats = {}
         for d in source.degrees():
-            cols = []
-            for r in reps[d]:
-                op = target.element_op(r)
-                cols.append(op.apply(image_degree, image))
+            cols = [apply_cols(target.element_op(r, image_degree), image) for r in reps[d]]
             mats[d] = F2Matrix.from_cols(cols, target.dim(d))
         return ModuleMap(source, target, mats)
 
@@ -300,7 +270,8 @@ class ModuleMap:
 def validate(m: GradedModule) -> list[str]:
     """Empty list when the generator matrices define a genuine module.
 
-    Over a full A(n) this evaluates every Wall relation as an operator;
+    Over a full A(n) this evaluates every Wall relation, applying each of
+    its words letter by letter to the unit vectors of every degree;
     otherwise it checks the dim * (number of generators) relations
     basis[i] * generator[k] = sum_j basis[j] that present the algebra.
     Violations name the failing relation (or product), the degree, and a
@@ -308,38 +279,42 @@ def validate(m: GradedModule) -> list[str]:
     """
     violations: list[str] = []
     alg = m.algebra
+    gdegs = alg.gen_degrees
     if alg.kind == "A":
         for rel in steenrod.wall_relations(alg.kind_param):
-            op = None
-            for word in rel.words:
-                wop = m._word_op(word)
-                op = wop if op is None else op.add(wop)
-            if op is None or op.is_zero():
-                continue
-            for d, mat in sorted(op.mats.items()):
-                j = next(j for j, c in enumerate(mat.columns) if c)
-                violations.append(f"relation {rel.label} is nonzero on "
-                                  f"{m.labels[d][j]} (degree {d})")
+            for d in m.degrees():
+                total = [0] * m.dim(d)
+                for word in rel.words:
+                    cols, e = [1 << j for j in range(m.dim(d))], d
+                    for gi in reversed(word):
+                        gen = m.columns(gi, e)
+                        cols = [apply_cols(gen, c) for c in cols]
+                        e += gdegs[gi]
+                    total = [a ^ b for a, b in zip(total, cols)]
+                j = next((j for j, c in enumerate(total) if c), None)
+                if j is not None:
+                    violations.append(f"relation {rel.label} is nonzero on "
+                                      f"{m.labels[d][j]} (degree {d})")
         return violations
     # generic subalgebra: the closure's relations basis[i] * generator[k] =
     # sum of basis elements present the algebra (products past the top
-    # degree vanish), so the derived action is multiplicative iff each one
-    # holds as an operator identity
-    gen_ops = [Operator.generator(m, k) for k in range(len(alg.generators))]
+    # degree vanish), so the derived action, which the unit's relations tie
+    # to the generator matrices, is multiplicative iff each one holds
+    # column by column
     for i, di in enumerate(alg.basis_degrees):
         for k, gen in enumerate(alg.generators):
-            lhs = m.basis_op(i).compose(gen_ops[k])
-            rhs = Operator.zero(m, lhs.shift)
-            if lhs.shift <= alg.top_degree:
-                for j in alg.decompose(alg.basis[i] * gen):
-                    rhs = rhs.add(m.basis_op(j))
-            diff = lhs.add(rhs)
-            if not diff.is_zero():
-                d = min(diff.mats)
-                jj = next(j for j, c in enumerate(diff.mats[d].columns) if c)
-                violations.append(
-                    f"basis product {alg.basis[i]} * {alg.gen_names[k]} acts "
-                    f"inconsistently on {m.labels[d][jj]} (degree {d})")
+            g = gdegs[k]
+            rhs = alg.decompose(alg.basis[i] * gen) if di + g <= alg.top_degree else ()
+            for d in m.degrees():
+                diff = [apply_cols(m.basis_op(i, d + g), c) for c in m.columns(k, d)]
+                for j in rhs:
+                    diff = [a ^ b for a, b in zip(diff, m.basis_op(j, d))]
+                jj = next((j for j, c in enumerate(diff) if c), None)
+                if jj is not None:
+                    violations.append(
+                        f"basis product {alg.basis[i]} * {alg.gen_names[k]} acts "
+                        f"inconsistently on {m.labels[d][jj]} (degree {d})")
+                    break
     return violations
 
 
@@ -413,13 +388,10 @@ def dual(m: GradedModule) -> GradedModule:
     labels = {-d: tuple(l + "*" for l in ls) for d, ls in m.labels.items()}
     actions: dict[int, dict[int, F2Matrix]] = {}
     for gi, gen in enumerate(alg.generators):
-        chi_op = m.element_op(steenrod.antipode(gen))
+        chi = steenrod.antipode(gen)
         g = alg.gen_degrees[gi]
-        per = {}
-        for k in labels:
-            if m.dim(-k) and m.dim(-k - g):
-                per[k] = chi_op.mat(-k - g).transpose()
-        actions[gi] = per
+        actions[gi] = {k: F2Matrix.from_rows(m.element_op(chi, -k - g), m.dim(-k))
+                       for k in labels}
     meta = {"name": f"D({m.meta.get('name', 'module')})"}
     return GradedModule(alg, labels, actions, meta=meta)
 
@@ -448,9 +420,8 @@ def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
         g = alg.gen_degrees[gi]
         terms = []  # (|a|, a.x columns per degree, |b|, b.y columns per degree)
         for a, b in steenrod.coproduct(gen):
-            aop, bop = m.element_op(a), n.element_op(b)
-            terms.append((a.degree(), {d: aop.mat(d).columns for d in m.degrees()},
-                          b.degree(), {d: bop.mat(d).columns for d in n.degrees()}))
+            terms.append((a.degree(), {d: m.element_op(a, d) for d in m.degrees()},
+                          b.degree(), {d: n.element_op(b, d) for d in n.degrees()}))
         cols = {d: [0] * len(ls) for d, ls in labels.items() if d + g in labels}
         for (d1, d2), off in offset.items():
             out = cols.get(d1 + d2)
@@ -644,8 +615,9 @@ def restrict(m: GradedModule, b: SubHopfAlgebra) -> GradedModule:
         raise ValueError(f"{b.name} is not a subalgebra of {m.algebra.name}")
     actions: dict[int, dict[int, F2Matrix]] = {}
     for gi, gen in enumerate(b.generators):
-        op = m.element_op(gen)
-        actions[gi] = dict(op.mats)
+        g = b.gen_degrees[gi]
+        actions[gi] = {d: F2Matrix.from_cols(m.element_op(gen, d), m.dim(d + g))
+                       for d in m.degrees()}
     meta = {"name": f"{m.meta.get('name', '?')}|{b.name}"}
     return GradedModule(b, dict(m.labels), actions, meta=meta)
 
@@ -673,15 +645,16 @@ def margolis_homology(m: GradedModule, s: int) -> dict[int, int]:
     q = steenrod.milnor_primitive(s, m.algebra.ambient)
     if not m.algebra.contains_element(q):
         raise ValueError(f"Q_{s} does not lie in {m.algebra.name}")
-    op = m.element_op(q)
-    if not op.compose(op).is_zero():
-        raise ArithmeticError(f"Q_{s} does not square to zero on this module")
     shift = q.degree()
+    mats = {d: F2Matrix.from_cols(m.element_op(q, d), m.dim(d + shift))
+            for d in m.degrees()}
+    for d, mat in mats.items():
+        if any(apply_cols(m.element_op(q, d + shift), c) for c in mat.columns):
+            raise ArithmeticError(f"Q_{s} does not square to zero on this module")
     out = {}
-    for d in m.degrees():
-        mat = op.mat(d)
+    for d, mat in mats.items():
         ker = mat.cols - rref(mat)[1]
-        im = rref(op.mat(d - shift))[1]
+        im = rref(mats[d - shift])[1] if d - shift in mats else 0
         if ker - im:
             out[d] = ker - im
     return out

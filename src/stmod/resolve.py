@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .f2linalg import F2Matrix, apply_cols, eliminate, rref, solve, vec_support
-from .module import GradedModule
+from .module import GradedModule, basis_columns
 from .steenrod import SubHopfAlgebra
 
 
@@ -60,6 +60,7 @@ class FreeStage:
         self._offsets: dict[int, list[int]] = {}     # t -> block offset per generator
         self._diff: dict[int, list[int]] = {}        # t -> d of each basis(t) slot
         self._columns: dict[tuple[int, int], list[int]] = {}
+        self._act_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def add_generator(self, degree: int, image: int):
         """A generator with d(g) = image, in a degree >= every earlier
@@ -68,6 +69,7 @@ class FreeStage:
         self.gen_degrees.append(degree)
         self.images.append(image)
         self._columns.clear()
+        self._act_cache.clear()
         for t in [t for t in self._basis if t > degree]:
             del self._basis[t], self._offsets[t]
         for t in [t for t in self._diff if t > degree]:
@@ -115,26 +117,8 @@ class FreeStage:
 
     def act(self, t: int, alg_idx: int, vec: int) -> int:
         """Left action of algebra basis element alg_idx on a degree-t vector,
-        through its left decomposition and the generator columns."""
-        alg = self.algebra
-        done = {alg.unit_index: vec}
-
-        def value(i: int) -> int:
-            hit = done.get(i)
-            if hit is None:
-                hit = 0
-                for k, c in alg.left_decomposition(i):
-                    d = alg.basis_degrees[i] - alg.gen_degrees[k]
-                    ids = alg.basis_by_degree(d)
-                    part = 0
-                    for r in vec_support(c):
-                        part ^= value(ids[r])
-                    if part:
-                        hit ^= apply_cols(self.columns(k, t + d), part)
-                done[i] = hit
-            return hit
-
-        return value(alg_idx)
+        through its columns from the left decomposition."""
+        return apply_cols(basis_columns(self, alg_idx, t, self._act_cache), vec)
 
     def differential(self, t: int) -> list[int]:
         """d(b.g) for the degree-t slots (g, b), in ``basis(t)`` order.
@@ -357,15 +341,12 @@ def ext_groups(m: GradedModule, n: GradedModule, s_max: int,
             gd_j = stage.gen_degrees[gj]
             for slot in vec_support(img):
                 gi, bi = prev.basis(gd_j)[slot]
-                # contribution: phi(gen_i) hit by algebra element bi, row-level
-                op = n.basis_op(bi)
+                # (delta phi)(gen_j) component i of n_{gd_j - t} reads
+                # phi(gen_i) at the basis vectors c that bi sends onto i
                 src_deg = prev.gen_degrees[gi] - t
-                mat = op.mat(src_deg)
-                # (delta phi)(gen_j) component i of n_{gd_j - t}
-                for c in range(mat.cols):
-                    if mat.entry(i, c):
-                        key = (gi, src_deg, c)
-                        data[r] ^= 1 << pos[key]
+                for c, col in enumerate(n.basis_op(bi, src_deg)):
+                    if col >> i & 1:
+                        data[r] ^= 1 << pos[gi, src_deg, c]
         return F2Matrix.from_rows(data, len(src))
 
     entries: dict[tuple[int, int], int] = {}

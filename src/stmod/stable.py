@@ -104,14 +104,14 @@ def reduce_module(m: GradedModule) -> Decomposition:
     module with no free summand is returned as it is.
     """
     alg = m.algebra
-    lam_op = m.element_op(alg.integral())
+    lam = alg.integral()
     e = alg.top_degree
     picked: dict[int, list[int]] = {}
     constraints = {d: [0] * m.dim(d) for d in m.degrees()}  # packed columns on m_d
     heights = dict.fromkeys(m.degrees(), 0)
     for d in m.degrees():
         images = F2Span()
-        picked[d] = [j for j, lam_x in enumerate(lam_op.mat(d).columns) if images.add(lam_x)]
+        picked[d] = [j for j, lam_x in enumerate(m.element_op(lam, d)) if images.add(lam_x)]
         mask = sum(1 << p for p in images.pivots())
         if not mask:
             continue
@@ -119,11 +119,11 @@ def reduce_module(m: GradedModule) -> Decomposition:
         height = m.dim(d + e)
         for vd in m.degrees():
             for bi in alg.basis_by_degree(d + e - vd):
-                mat = m.basis_op(bi).mats.get(vd)
-                if mat is None:
+                op = m.basis_op(bi, vd)
+                if not any(op):
                     continue
                 cols, shift = constraints[vd], heights[vd]
-                for j, c in enumerate(mat.columns):
+                for j, c in enumerate(op):
                     cols[j] |= (c & mask) << shift
                 heights[vd] = shift + height
     free_part = tuple(d for d, js in picked.items() for _ in js)
@@ -137,11 +137,7 @@ def reduce_module(m: GradedModule) -> Decomposition:
             for d, cols in constraints.items() if heights[d]})
     mats = {}
     for d in m.degrees():
-        cols, op_cols = [], {}  # op_cols[a, e]: columns of basis[a] on m_e
-        for a, vd, i in slots.get(d, ()):
-            if (a, vd) not in op_cols:
-                op_cols[a, vd] = m.basis_op(a).mat(vd).columns
-            cols.append(op_cols[a, vd][picked[vd][i]])
+        cols = [m.basis_op(a, vd)[picked[vd][i]] for a, vd, i in slots.get(d, ())]
         mats[d] = F2Matrix.from_cols(cols + basis[d], m.dim(d))
     isomorphism = ModuleMap(direct_sum(free, reduced), m, mats)
     return Decomposition(m, free_part, reduced, isomorphism)

@@ -6,8 +6,10 @@ the truncated polynomial dual; the profile constraint is ``r_i < 2^(n+2-i)``
 with ``r_i = 0`` for ``i > n+1``.  On top of the raw arithmetic (product,
 coproduct, antipode) this module builds finite subalgebras by closing a
 generator set multiplicatively, recording how each basis element is spelled
-as a sum of generator words.  Those word expressions are what lets modules
-be specified by generator actions alone.
+as a sum of generator words.  Modules are specified by generator actions
+alone: every basis element acts through its left decomposition
+b = sum_k g_k.c_k over the generators, read off the left products g_k.b_j,
+while the word expressions are what the Wall relations are written in.
 """
 
 from __future__ import annotations

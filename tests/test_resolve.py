@@ -7,11 +7,12 @@ import time
 import pytest
 
 from stmod import fixtures, module as md, resolve as rv, steenrod as st
-from stmod.f2linalg import F2Matrix, rref, vec_support
+from stmod.f2linalg import F2Matrix, apply_cols, rref, vec_support
 from stmod.module import (dual, hopf_quotient, regular_module, suspend,
                           tensor, trivial_module)
 from stmod.resolve import (ext_chart, ext_groups, minimal_resolution,
                            render_chart, yoneda_action)
+from word_action import expression_columns
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +89,14 @@ def reference_action(stage, t, bi, vec):
 
 def reference_differential(res, s, t):
     """d(b.g) = b.d(g) for the stage-s slots in degree t, from products; at
-    stage 0, b acts on the module through its word expression."""
+    stage 0, b acts on the module through its word expression, so this
+    reference never reads the left decompositions the resolver uses."""
     stage = res.stages[s]
     cols = []
     for gi, bi in stage.basis(t):
         gd, img = stage.gen_degrees[gi], stage.images[gi]
         if s == 0:
-            cols.append(res.module.basis_op(bi).apply(gd, img))
+            cols.append(apply_cols(expression_columns(res.module, bi, gd), img))
         else:
             cols.append(reference_action(stage.below, gd, bi, img))
     return F2Matrix.from_cols(cols, stage.below.dim(t))

@@ -89,8 +89,10 @@ def test_margolis_vanishing_iff_free_on_fixtures():
 
 def integral_rank_degrees(m):
     """Each degree d, repeated rank(Lambda: m_d -> m_(d+e)) times."""
-    lam = m.element_op(m.algebra.integral())
-    return tuple(d for d in m.degrees() for _ in range(rank(lam.mat(d))))
+    lam = m.algebra.integral()
+    e = m.algebra.top_degree
+    return tuple(d for d in m.degrees()
+                 for _ in range(rank(F2Matrix.from_cols(m.element_op(lam, d), m.dim(d + e)))))
 
 
 def a2_mod_a1():
@@ -131,7 +133,24 @@ def test_reduce_at_a2_scale(A2):
         assert dec.free_part == free
         assert dec.verify()
         assert dec.reduced_part.total_dim == m.total_dim - 64 * len(free)
-        assert dec.reduced_part.element_op(A2.integral()).is_zero()
+        red = dec.reduced_part
+        assert not any(c for d in red.degrees() for c in red.element_op(A2.integral(), d))
+
+
+def test_reduce_augmentation_ideal_square_at_a2(A2):
+    """I(A(2))^(x)2, 3,969-dimensional: the free part is the rank of the
+    integral, the reduced part has no free summand left, and Margolis
+    homology, which free summands do not see, is unchanged."""
+    ideal = aug_ideal_module(A2)
+    m = tensor(ideal, ideal)
+    dec = reduce_module(m)
+    assert len(dec.free_part) == 60
+    assert dec.free_part == integral_rank_degrees(m)
+    assert dec.reduced_part.total_dim == 129 == m.total_dim - 64 * 60
+    assert dec.verify()
+    assert reduce_module(dec.reduced_part).free_part == ()
+    for s in range(3):
+        assert margolis_homology(dec.reduced_part, s) == margolis_homology(m, s), s
 
 
 # ---------------------------------------------------------------------------
