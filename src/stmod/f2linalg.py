@@ -104,12 +104,6 @@ class F2Matrix:
         return F2Matrix(self.rows, other.cols,
                         tuple(apply_cols(cols, c) for c in other.columns))
 
-    def mat_vec(self, v: int) -> int:
-        """Matrix times packed column vector (v indexed by columns)."""
-        if v >> self.cols:
-            raise ValueError("vector has entries outside the column range")
-        return apply_cols(self.columns, v)
-
 
 class F2Span:
     """Incrementally built echelon basis of a subspace of GF(2)^n.

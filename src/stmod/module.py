@@ -651,10 +651,11 @@ def margolis_homology(m: GradedModule, s: int) -> dict[int, int]:
     for d, mat in mats.items():
         if any(apply_cols(m.element_op(q, d + shift), c) for c in mat.columns):
             raise ArithmeticError(f"Q_{s} does not square to zero on this module")
+    ranks = {d: rref(mat)[1] for d, mat in mats.items()}
     out = {}
     for d, mat in mats.items():
-        ker = mat.cols - rref(mat)[1]
-        im = rref(mats[d - shift])[1] if d - shift in mats else 0
+        ker = mat.cols - ranks[d]
+        im = ranks.get(d - shift, 0)
         if ker - im:
             out[d] = ker - im
     return out

@@ -9,9 +9,13 @@ invertible, v |-> (a |-> gamma_k(a*v))_k is a module map from m to a sum
 of copies of the dual of A.  On the socle Lambda*F of F it is that
 invertible matrix, so it is injective on F, hence an isomorphism on F;
 its kernel is therefore a complement of F on which Lambda acts as zero.
-Functionals with the same span cut out the same kernel.  The reduced part
-is the stable representative of m, from which loop functors, stable
-isomorphism tests and self-duality shifts all follow.
+That kernel is the largest submodule inside the kernels of the gamma_k,
+so it is found top-down from the generator actions alone: v lies in it
+when every gamma_k vanishes on v and each generator sends v into the
+kernel in its own, higher degree.  Functionals with the same span cut out
+the same kernel.  The reduced part is the stable representative of m,
+from which loop functors, stable isomorphism tests and self-duality
+shifts all follow.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .f2linalg import (F2Matrix, F2Span, kernel_basis, rref, solve_matrix,
-                       vec_support)
+from .f2linalg import F2Matrix, F2Span, apply_cols, kernel_basis, rref, vec_support
 from . import steenrod
 from .module import (GradedModule, ModuleMap, _free_quotient, aug_ideal_module,
                      direct_sum, dual, margolis_homology, suspend, tensor)
@@ -49,41 +52,6 @@ class Decomposition:
         return self.isomorphism.is_bijective()
 
 
-def _submodule_on_kernel(m: GradedModule,
-                         constraints: dict[int, F2Matrix]) -> tuple[GradedModule, dict]:
-    """The submodule cut out per degree by the given functionals.
-
-    constraints: dict degree d -> matrix on m_d whose rows are the
-    functionals.  Returns (C, basis), basis[d] the packed vectors of m_d
-    that C's basis vectors are.  The kernel must be action-invariant;
-    action matrices for C are solved through these vectors.
-    """
-    basis: dict[int, list[int]] = {}
-    for d in m.degrees():
-        mat = constraints.get(d)
-        basis[d] = (kernel_basis(mat) if mat is not None
-                    else [1 << i for i in range(m.dim(d))])
-    labels = {d: tuple(f"c{d}_{k}" for k in range(len(vs)))
-              for d, vs in basis.items() if vs}
-    incl = {d: F2Matrix.from_cols(vs, m.dim(d)) for d, vs in basis.items() if vs}
-    actions: dict[int, dict[int, F2Matrix]] = {}
-    for gi in range(len(m.algebra.generators)):
-        g = m.algebra.gen_degrees[gi]
-        per = {}
-        for d, vs in basis.items():
-            if not vs or not basis.get(d + g):
-                continue
-            big = m.action(gi, d) @ incl[d]
-            small = solve_matrix(incl[d + g], big)
-            if small is None:
-                raise ArithmeticError("kernel subspace is not action-invariant")
-            per[d] = small
-        actions[gi] = per
-    sub = GradedModule(m.algebra, labels, actions,
-                       meta={"name": f"{m.meta.get('name', '?')}~"})
-    return sub, basis
-
-
 def reduce_module(m: GradedModule) -> Decomposition:
     """Split off every free summand in one step.
 
@@ -93,48 +61,65 @@ def reduce_module(m: GradedModule) -> Decomposition:
     coordinates at the pivots (lowest set bits) of the span of these
     Lambda-images.  Their matrix against the Lambda*x is invertible, since
     the span's echelon rows, one per x, are triangular at the pivots.
-    Every constraint v |-> gamma(b*v) goes into one kernel computation:
-    the matrix of each b on m_v, masked to the pivot rows, is stacked
-    column by column under the ones before it, and the zero rows this
-    leaves do not change the kernel.
-    The complement is the one that stripping one summand at a time, with
-    the first coordinate of each Lambda*x in turn, would reach.  The free
-    module F on the x maps to m by b (x) x |-> b*x; with the inclusion of
-    the complement this is one isomorphism, verified as a module map.  A
-    module with no free summand is returned as it is.
+    The complement C is the kernel of v |-> (gamma_p(b*v))_(p, b), the
+    largest submodule inside the kernels of the gamma_p.  It is built
+    top-down from the generator actions alone: C_d is the v in m_d with no
+    pivot bit and with g*v in C_(d+|g|) for every generator g, one
+    ``kernel_basis`` per degree of the pivot bits stacked over the
+    residuals of the g*e_j modulo the span of C_(d+|g|).  Reducing g*e_j
+    against that span also gives the coordinates of the part in the span
+    along C_(d+|g|)'s basis.  Both maps are linear, and the residual
+    vanishes on C_d, so the coordinates summed over the bits of each
+    kernel vector give C's action matrices.  The kernel basis is
+    canonical for the subspace, so C is the complement that stripping one
+    summand at a time, with the first coordinate of each Lambda*x in
+    turn, would reach.  The free module F on the x maps to m by
+    b (x) x |-> b*x; with the inclusion of C this is one isomorphism,
+    verified as a module map.  A module with no free summand is returned
+    as it is.
     """
     alg = m.algebra
     lam = alg.integral()
     e = alg.top_degree
     picked: dict[int, list[int]] = {}
-    constraints = {d: [0] * m.dim(d) for d in m.degrees()}  # packed columns on m_d
-    heights = dict.fromkeys(m.degrees(), 0)
+    masks: dict[int, int] = {}  # pivot bits on m_(d+e) of the Lambda*x, x in m_d
     for d in m.degrees():
         images = F2Span()
         picked[d] = [j for j, lam_x in enumerate(m.element_op(lam, d)) if images.add(lam_x)]
-        mask = sum(1 << p for p in images.pivots())
-        if not mask:
-            continue
-        # complement: gamma_p(b * v) = 0 for every pivot p and deg(b) = d + e - deg(v)
-        height = m.dim(d + e)
-        for vd in m.degrees():
-            for bi in alg.basis_by_degree(d + e - vd):
-                op = m.basis_op(bi, vd)
-                if not any(op):
-                    continue
-                cols, shift = constraints[vd], heights[vd]
-                for j, c in enumerate(op):
-                    cols[j] |= (c & mask) << shift
-                heights[vd] = shift + height
+        if images.dim:
+            masks[d + e] = sum(1 << p for p in images.pivots())
     free_part = tuple(d for d, js in picked.items() for _ in js)
     if not free_part:
         return Decomposition(m, (), m, ModuleMap.identity(m))
     gens = GradedModule(alg, {d: tuple(m.labels[d][j] for j in js)
                               for d, js in picked.items()}, {})
     free, slots = _free_quotient(alg, gens, (), name="free", label_prefix="f")
-    reduced, basis = _submodule_on_kernel(
-        m, {d: F2Matrix(heights[d], m.dim(d), tuple(cols))
-            for d, cols in constraints.items() if heights[d]})
+    basis: dict[int, list[int]] = {}
+    spans: dict[int, F2Span] = {}
+    actions: dict[int, dict[int, F2Matrix]] = {}
+    for d in reversed(m.degrees()):
+        mask = masks.get(d, 0)
+        cols = [(1 << j) & mask for j in range(m.dim(d))]
+        height = m.dim(d)
+        coords = {}
+        for k, g in enumerate(alg.gen_degrees):
+            if d + g in spans:
+                parts = [spans[d + g].reduce(c) for c in m.columns(k, d)]
+                for j, (residual, _) in enumerate(parts):
+                    cols[j] |= residual << height
+                height += m.dim(d + g)
+                coords[k] = [combo for _, combo in parts]
+        basis[d] = kernel_basis(F2Matrix(height, m.dim(d), tuple(cols)))
+        for k, combos in coords.items():
+            actions.setdefault(k, {})[d] = F2Matrix.from_cols(
+                [apply_cols(combos, v) for v in basis[d]],
+                len(basis[d + alg.gen_degrees[k]]))
+        spans[d] = span = F2Span()
+        for i, v in enumerate(basis[d]):
+            span.add(v, 1 << i)
+    labels = {d: tuple(f"c{d}_{i}" for i in range(len(basis[d]))) for d in m.degrees()}
+    reduced = GradedModule(alg, labels, actions,
+                           meta={"name": f"{m.meta.get('name', '?')}~"})
     mats = {}
     for d in m.degrees():
         cols = [m.basis_op(a, vd)[picked[vd][i]] for a, vd, i in slots.get(d, ())]

@@ -200,6 +200,57 @@ def test_loop_verb(capsys):
     assert "degree 1" in out and "degree 4" in out
 
 
+@pytest.mark.parametrize("first,second,expected", [
+    ("Joker", "Joker",
+     "free summands at suspensions: -4, -3, -2\n"
+     "reduced part:\n"
+     "module reduced over A(1)\n"
+     "generator c0_0 degree 0\n"),
+    # a two-dimensional degree pins the order of the reduced basis
+    ("A1modSq1Sq2Sq1", "Joker",
+     "free summands at suspensions: -2, -1, 1\n"
+     "reduced part:\n"
+     "module reduced over A(1)\n"
+     "generator c0_0 degree 0\n"
+     "generator c1_0 degree 1\n"
+     "generator c2_0 degree 2\n"
+     "generator c3_0 degree 3\n"
+     "generator c3_1 degree 3\n"
+     "generator c5_0 degree 5\n"
+     "action Sq^1 c0_0 = c1_0\n"
+     "action Sq^1 c2_0 = c3_1\n"
+     "action Sq^2 c0_0 = c2_0\n"
+     "action Sq^2 c1_0 = c3_0 + c3_1\n"
+     "action Sq^2 c3_0 = c5_0\n"
+     "action Sq^2 c3_1 = c5_0\n"),
+], ids=["Joker-Joker", "A1modSq1Sq2Sq1-Joker"])
+def test_reduce_tensor_text(tmp_path, capsys, first, second, expected):
+    # the reduced part's basis and labels are pinned, not only its
+    # isomorphism class
+    product = tmp_path / "product.mod"
+    code, _, _ = run(capsys, "tensor", "--fixture", first, "--with", second,
+                     "--out", str(product))
+    assert code == 0
+    code, out, _ = run(capsys, "reduce", "--file", str(product))
+    assert code == 0
+    assert out == expected
+
+
+def test_loop_twice_joker_text(capsys):
+    code, out, _ = run(capsys, "loop", "--times", "2", "--fixture", "Joker")
+    assert code == 0
+    assert out == ("module looped over A(1)\n"
+                   "generator c2_0 degree 2\n"
+                   "generator c4_0 degree 4\n"
+                   "generator c5_0 degree 5\n"
+                   "generator c6_0 degree 6\n"
+                   "generator c7_0 degree 7\n"
+                   "action Sq^1 c4_0 = c5_0\n"
+                   "action Sq^1 c6_0 = c7_0\n"
+                   "action Sq^2 c2_0 = c4_0\n"
+                   "action Sq^2 c5_0 = c7_0\n")
+
+
 def test_restrict_and_induce_verbs(capsys):
     code, out, _ = run(capsys, "restrict", "--fixture", "A1modP11",
                        "--sub", "P11")
