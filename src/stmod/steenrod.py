@@ -106,12 +106,22 @@ def _term_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int
     its first carry: inner entries as they are placed, each row residue
     x_i0 when its row closes, the column residues x_0j at the end, where
     mask[k] has become t_k.
+
+    A single Sq(k) on either side leaves one inner column or one inner row,
+    and there T determines X: the last antidiagonal sum is the last inner
+    entry, and each earlier t_p fixes one more entry once the later ones are
+    known.  So no two matrices share a term, nothing cancels, and
+    ``_chain_product`` lists the terms as a plain set.
     """
     m, n = len(r), len(s)
     if m == 0:
         return frozenset({s})
     if n == 0:
         return frozenset({r})
+    if n == 1:
+        return _chain_product(r, s[0], True)
+    if m == 1:
+        return _chain_product(s, r[0], False)
     out: set[tuple[int, ...]] = set()
     mask = [0] * (m + n + 1)
     col_left = [0, *s]  # col_left[j] = s_j minus the inner entries of column j
@@ -144,6 +154,52 @@ def _term_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int
         col_left[j] = left
 
     place(1, 1, r[0])
+    return frozenset(out)
+
+
+def _chain_product(a: tuple[int, ...], k: int, sq_right: bool) -> frozenset[tuple[int, ...]]:
+    """Sq(a)·Sq(k) when ``sq_right``, else Sq(k)·Sq(a), as a set of terms.
+
+    Milnor's matrix has one inner column, y_p = x_p1 with 2 y_p <= a_p and
+    sum y_p <= k, or one inner row, y_p = x_1p with y_p <= a_p and
+    sum 2^p y_p <= k, for p = 1..n.  On antidiagonal p+1 the entry y_p meets
+    one residue: o_(p+1) = a_(p+1) - 2 y_(p+1), the row residue x_(p+1)0, or
+    a_(p+1) - y_(p+1), the column residue x_0(p+1).  So t_(n+1) = y_n,
+    t_(p+1) = o_(p+1) + y_p and t_1 = o_1 + (what y leaves of k).  Read
+    from the far end, T fixes y_n, then o_n and y_(n-1), and so on down the
+    chain: distinct matrices give distinct terms, and nothing cancels.  The
+    walk draws y_n, ..., y_1 in turn, each among the submasks of the
+    complement of the residue it meets, since a multinomial is odd iff its
+    parts have disjoint bits.
+    """
+    n = len(a)
+    own = 1 if sq_right else 0  # y_p takes y_p << own from a_p
+    out: set[tuple[int, ...]] = set()
+    t = [0] * (n + 1)  # t[p] = t_(p+1)
+
+    def down(p, meet, left):
+        ap = a[p - 1]
+        cost = 0 if sq_right else p  # ... and y_p << cost from k
+        lim = ap >> own
+        if left >> cost < lim:
+            lim = left >> cost
+        free = ((1 << lim.bit_length()) - 1) & ~meet
+        y = free
+        while True:
+            if y <= lim:
+                t[p] = meet | y
+                o, rest = ap - (y << own), left - (y << cost)
+                if p > 1:
+                    down(p - 1, o, rest)
+                elif not o & rest:
+                    t[0] = o | rest
+                    # only t_(n+1) = y_n can be 0 at the end: then t_n >= a_n
+                    out.add(tuple(t) if t[n] else tuple(t[:n]))
+            if not y:
+                break
+            y = (y - 1) & free
+
+    down(n, 0, k)
     return frozenset(out)
 
 
@@ -797,7 +853,8 @@ def parse_element(text: str, ambient: int) -> SteenrodElt:
             elif tok == "1":
                 pass
             else:
-                raise ValueError(f"cannot parse element syntax near {tok!r}")
+                raise ValueError(f"cannot parse element syntax at "
+                                 f"{chunk[m.start():]!r} in {text!r}")
         if not seen:
             raise ValueError(f"cannot parse element chunk {chunk!r}")
         total = total + factor

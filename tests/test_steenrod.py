@@ -1,8 +1,10 @@
 """Milnor arithmetic, subalgebra closures, Wall relations."""
 
 import functools
+import hashlib
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as hst
@@ -123,10 +125,17 @@ def test_product_kernel_matches_reference_on_all_a2_pairs():
 
 
 def test_product_kernel_matches_reference_on_a3_generators():
-    gens = [(1 << k,) for k in range(4)] + [(0,) * k + (1,) for k in range(4)]
+    # every Sq(k) of A(3) on both sides of every Milnor basis element of A(3),
+    # whose basis and squares contain those of A(1) and A(2), and the Milnor
+    # primitives on the right: the products that the closures, the left
+    # products and the antipode form
+    squares = [(k,) for k in range(1, 16)]
+    primitives = [(0,) * k + (1,) for k in range(1, 4)]
     for a in st.milnor_basis(3):
-        for g in gens:
+        for g in squares + primitives:
             assert st._term_product(a, g) == reference_term_product(a, g), (a, g)
+        for g in squares:
+            assert st._term_product(g, a) == reference_term_product(g, a), (g, a)
 
 
 def test_product_kernel_matches_reference_on_seeded_a3_pairs():
@@ -411,6 +420,23 @@ def test_closure_matches_reference_on_presets(make):
     assert_closure_matches_reference(alg.generators, alg.ambient)
 
 
+# sha256 of A(3)'s basis terms, basis degrees, word expressions and every
+# left product generators[k] * basis[j], recorded while every Milnor product
+# went through the general matrix enumeration
+A3_DIGEST = "9cb4b4e8e7e019f1263740226c5090890846ac7469fb41c6affabf61f203f44c"
+
+
+def test_a3_outputs_are_unchanged():
+    a3 = st.A(3)
+    data = (
+        [sorted(b.terms) for b in a3.basis],
+        list(a3.basis_degrees),
+        [sorted(e) for e in a3.expressions],
+        [[a3.left(k, j) for j in range(a3.dim)] for k in range(len(a3.generators))],
+    )
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == A3_DIGEST
+
+
 def test_a3_expressions_evaluate_back_on_a_sample():
     alg = st.A(3)
     for i in random.Random(6).sample(range(alg.dim), 48):
@@ -572,6 +598,13 @@ def test_parse_element_grammar():
 def test_parse_element_rejects_junk():
     with pytest.raises(ValueError):
         parse_element("Sqq^2", 1)
+    # the message quotes the text from the failing token on, and the input
+    for text, rest in [("Sq^x", "Sq^x"), ("Sq(-1)", "Sq(-1)"),
+                       ("Sq^2 Sq(1,-2)", "Sq(1,-2)"), ("P(2,1)", "P(2,1)"),
+                       ("Sq^1 + Sq^2 Sq^x Sq^1", "Sq^x Sq^1")]:
+        message = f"cannot parse element syntax at {rest!r} in {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_element(text, 3)
     with pytest.raises(st.OutOfAmbientError):
         parse_element("Sq^4", 1)
 
