@@ -73,15 +73,15 @@ _SUBALGEBRAS = {
 }
 
 
-def _subalgebra(token: str, ambient: int):
+def _subalgebra(token: str, over: steenrod.SubHopfAlgebra):
     key = token.replace("(", "").replace(")", "").strip()
     if key not in _SUBALGEBRAS:
         raise DomainError(f"unknown subalgebra {token!r}; "
                           f"choose from {', '.join(sorted(_SUBALGEBRAS))}")
     try:
-        return _SUBALGEBRAS[key](ambient)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+        return _SUBALGEBRAS[key](over.ambient)
+    except ValueError:
+        raise DomainError(f"--sub {token}: not a subalgebra of {over.name}")
 
 
 def _serialized(m: md.GradedModule, name: str) -> str:
@@ -189,14 +189,14 @@ def cmd_quotient(args) -> int:
 def cmd_induce(args) -> int:
     m = _load(args)
     big = modfile.parse_algebra(args.algebra)
-    sub = _subalgebra(args.sub, big.ambient)
+    sub = _subalgebra(args.sub, big)
     _emit(args, _serialized(md.induce(big, sub, m), "induced"))
     return 0
 
 
 def cmd_restrict(args) -> int:
     m = _load(args)
-    sub = _subalgebra(args.sub, m.algebra.ambient)
+    sub = _subalgebra(args.sub, m.algebra)
     _emit(args, _serialized(md.restrict(m, sub), "restricted"))
     return 0
 
@@ -261,6 +261,8 @@ _TYPE_RE = re.compile(r"^([A-Ga-g])_?(\d+)$")
 
 def cmd_spin_check(args) -> int:
     if args.un is not None:
+        if args.un < 1:
+            raise DomainError(f"--un must be positive, got {args.un}")
         report = rootspin.u_n_adjoint_spin(args.un)
         basis = "w"
         lattice = "character lattice"

@@ -19,8 +19,9 @@ unique combination of greedy columns left of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .value import Value
 
 
 def vec_support(v: int) -> list[int]:
@@ -44,19 +45,29 @@ def apply_cols(cols, vec: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(Value, frozen=True):
     """Immutable GF(2) matrix with bit-packed columns."""
 
-    rows: int
-    cols: int
-    columns: tuple[int, ...]
+    __slots__ = ("rows", "cols", "columns")
 
-    def __post_init__(self):
-        if len(self.columns) != self.cols:
+    def __init__(self, rows: int, cols: int, columns: tuple[int, ...]):
+        if len(columns) != cols:
             raise ValueError("column count does not match cols")
-        if self.columns and (min(self.columns) < 0 or max(self.columns) >> self.rows):
+        if columns and (min(columns) < 0 or max(columns) >> rows):
             raise ValueError("column has entries outside the row range")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "columns", columns)
+
+    # written out: Value's generic versions are slower in the inner loops
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.rows, self.cols, self.columns)
+                    == (other.rows, other.cols, other.columns))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.columns))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "F2Matrix":

@@ -9,7 +9,7 @@ validation plus the documented identity for one fixture.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from . import modfile, steenrod
 from .f2linalg import F2Matrix
@@ -149,15 +149,17 @@ _IDENTITIES = {
 }
 
 
+# a plain path: importing importlib.resources costs more than all of stmod
 def fixture_names() -> list[str]:
-    root = resources.files("stmod") / "fixtures"
-    return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".mod"))
+    root = os.path.join(os.path.dirname(__file__), "fixtures")
+    return sorted(f[:-4] for f in os.listdir(root) if f.endswith(".mod"))
 
 
 def fixture_path_text(name: str) -> str:
-    path = resources.files("stmod") / "fixtures" / f"{name}.mod"
+    path = os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.mod")
     try:
-        return path.read_text()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise KeyError(f"no fixture named {name!r}; see `stmod fixtures`")
 

@@ -33,11 +33,11 @@ minimal chart.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .f2linalg import F2Matrix, apply_cols, eliminate, rref, solve, vec_support
 from .module import GradedModule, basis_columns
 from .steenrod import SubHopfAlgebra
+from .value import Value
 
 
 class FreeStage:
@@ -165,14 +165,14 @@ class FreeStage:
         return out
 
 
-@dataclass
-class MinimalResolution:
+class MinimalResolution(Value):
     """A truncated minimal free resolution ... -> P_1 -> P_0 -> m -> 0."""
 
-    module: GradedModule
-    s_max: int
-    t_max: int
-    stages: list[FreeStage]
+    __slots__ = ("module", "s_max", "t_max", "stages")
+
+    def __init__(self, module: GradedModule, s_max: int, t_max: int,
+                 stages: list[FreeStage]):
+        self._assign(module, s_max, t_max, stages)
 
     @property
     def algebra(self) -> SubHopfAlgebra:
@@ -265,8 +265,7 @@ def minimal_resolution(m: GradedModule, s_max: int, t_max: int) -> MinimalResolu
 # Charts
 
 
-@dataclass
-class ExtChart:
+class ExtChart(Value):
     """Bigraded dimensions (s, t) -> dim, with the computed window recorded.
 
     Every entry with t <= t_max is complete: the degree-t part of a stage
@@ -275,9 +274,10 @@ class ExtChart:
     t_max has found all of them.
     """
 
-    entries: dict[tuple[int, int], int]
-    s_max: int
-    t_max: int
+    __slots__ = ("entries", "s_max", "t_max")
+
+    def __init__(self, entries: dict[tuple[int, int], int], s_max: int, t_max: int):
+        self._assign(entries, s_max, t_max)
 
     def get(self, s: int, t: int) -> int:
         return self.entries.get((s, t), 0)

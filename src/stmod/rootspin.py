@@ -14,8 +14,9 @@ that form, i.e. lies in its lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .value import Value
 
 FAMILIES = ("A", "B", "C", "D", "G", "F", "E")
 
@@ -69,12 +70,12 @@ POSITIVE_ROOT_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
+class RootSystem(Value, frozen=True):
+    __slots__ = ("family", "rank", "cartan", "positive_roots")
+
+    def __init__(self, family: str, rank: int, cartan: tuple[tuple[int, ...], ...],
+                 positive_roots: tuple[tuple[int, ...], ...]):
+        self._assign(family, rank, cartan, positive_roots)
 
     @property
     def name(self) -> str:
@@ -258,13 +259,14 @@ def _solve_integer(gens: list[list[int]], tgt: list[int]) -> list[int] | None:
     return combo
 
 
-@dataclass(frozen=True)
-class GroupForm:
+class GroupForm(Value, frozen=True):
     """A group form = a lattice between the root and weight lattices."""
 
-    root_system: RootSystem
-    lattice: tuple[tuple[int, ...], ...]  # generators, weight coordinates
-    label: str
+    __slots__ = ("root_system", "lattice", "label")  # lattice: generators, weight coords
+
+    def __init__(self, root_system: RootSystem, lattice: tuple[tuple[int, ...], ...],
+                 label: str):
+        self._assign(root_system, lattice, label)
 
     @staticmethod
     def simply_connected(rs: RootSystem) -> "GroupForm":
@@ -301,8 +303,7 @@ class GroupForm:
         return abs(det)
 
 
-@dataclass(frozen=True)
-class SpinReport:
+class SpinReport(Value, frozen=True):
     """Verdict for one adjoint representation, with a checkable certificate.
 
     in_lattice: whether the half-sum of positive roots is a character.
@@ -311,12 +312,11 @@ class SpinReport:
     basis: coordinate system of `rho` ('simple-root' or 'weight').
     """
 
-    group: str
-    form: str
-    rho: tuple[Fraction, ...]
-    in_lattice: bool
-    certificate: tuple
-    basis: str = "simple-root"
+    __slots__ = ("group", "form", "rho", "in_lattice", "certificate", "basis")
+
+    def __init__(self, group: str, form: str, rho: tuple[Fraction, ...], in_lattice: bool,
+                 certificate: tuple, basis: str = "simple-root"):
+        self._assign(group, form, rho, in_lattice, certificate, basis)
 
     def verify(self) -> bool:
         if self.in_lattice:

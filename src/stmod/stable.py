@@ -20,13 +20,13 @@ shifts all follow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from .f2linalg import F2Matrix, F2Span, apply_cols, kernel_basis, rref, vec_support
 from . import steenrod
 from .module import (GradedModule, ModuleMap, _free_quotient, aug_ideal_module,
                      direct_sum, dual, margolis_homology, suspend, tensor)
+from .value import Value
 
 
 class InconclusiveIsomorphism(RuntimeError):
@@ -34,18 +34,18 @@ class InconclusiveIsomorphism(RuntimeError):
     either way.  Distinct from a certified negative (None)."""
 
 
-@dataclass
-class Decomposition:
+class Decomposition(Value):
     """module ~ F (+) reduced_part, F free on generators in degrees free_part.
 
     ``isomorphism`` is the verified module map direct_sum(F, reduced_part)
     -> module; it sends b (x) x in F to b*x and includes the reduced part.
     """
 
-    module: GradedModule
-    free_part: tuple[int, ...]
-    reduced_part: GradedModule
-    isomorphism: ModuleMap
+    __slots__ = ("module", "free_part", "reduced_part", "isomorphism")
+
+    def __init__(self, module: GradedModule, free_part: tuple[int, ...],
+                 reduced_part: GradedModule, isomorphism: ModuleMap):
+        self._assign(module, free_part, reduced_part, isomorphism)
 
     def verify(self) -> bool:
         """The isomorphism is bijective in every degree."""

@@ -15,10 +15,10 @@ while the word expressions are what the Wall relations are written in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .f2linalg import F2Span, vec_support
+from .value import Value
 
 #: Largest n for which the A(n) presets are enabled.  The instances here are
 #: exponentially sized (dim A(n) = 2^((n+1)(n+2)/2)); raise this knob
@@ -215,20 +215,28 @@ def _term_coproduct(r: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int
 # Elements
 
 
-@dataclass(frozen=True)
-class SteenrodElt:
+class SteenrodElt(Value, frozen=True):
     """An F_2-linear combination of Milnor basis elements of a fixed A(n)."""
 
-    ambient: int
-    terms: frozenset[tuple[int, ...]]
+    __slots__ = ("ambient", "terms")
 
-    def __post_init__(self):
-        for t in self.terms:
+    def __init__(self, ambient: int, terms: frozenset[tuple[int, ...]]):
+        for t in terms:
             if t != _normalize(t):
                 raise ValueError(f"non-normalized exponent tuple {t}")
-            if not fits_profile(t, self.ambient):
-                raise OutOfAmbientError(
-                    f"{_term_str(t)} does not lie in A({self.ambient})")
+            if not fits_profile(t, ambient):
+                raise OutOfAmbientError(f"{_term_str(t)} does not lie in A({ambient})")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "terms", terms)
+
+    # written out: Value's generic versions are slower in the inner loops
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.terms) == (other.ambient, other.terms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.terms))
 
     # -- structure ---------------------------------------------------------
 
@@ -724,8 +732,7 @@ def E(n: int, ambient: int | None = None) -> SubHopfAlgebra:
 # Wall relations
 
 
-@dataclass(frozen=True)
-class WallRelation:
+class WallRelation(Value, frozen=True):
     """A defining relation of A(n) as a sum of generator words.
 
     Words are tuples of exponents i, standing for Sq^{2^i}.  The sum of the
@@ -733,9 +740,10 @@ class WallRelation:
     must be the zero operator.
     """
 
-    n: int
-    words: frozenset[Word]
-    label: str
+    __slots__ = ("n", "words", "label")
+
+    def __init__(self, n: int, words: frozenset[Word], label: str):
+        self._assign(n, words, label)
 
     def element(self) -> SteenrodElt:
         gens = tuple(sq(2 ** i, self.n) for i in range(self.n + 1))

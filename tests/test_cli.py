@@ -302,8 +302,14 @@ def test_unknown_fixture_domain_error(capsys):
      "--smax must be nonnegative"),
     (("loop", "--fixture", "Joker", "--times", "-1"),
      "--times must be nonnegative"),
+    (("restrict", "--fixture", "Joker", "--sub", "A2"),
+     "--sub A2: not a subalgebra of A(1)"),
+    (("induce", "--fixture", "F2", "--algebra", "A(1)", "--sub", "A2"),
+     "--sub A2: not a subalgebra of A(1)"),
+    (("spin-check", "--un", "0"), "--un must be positive, got 0"),
 ], ids=["extgroups-unknown-coeff", "tensor-unknown-with", "ext-negative-smax",
-        "extgroups-negative-smax", "loop-negative-times"])
+        "extgroups-negative-smax", "loop-negative-times", "restrict-sub-above-algebra",
+        "induce-sub-above-algebra", "spin-check-nonpositive-un"])
 def test_bad_flag_values_exit_one(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
