@@ -2,15 +2,17 @@
 
 Every verb reads modules from the shipped fixture library (--fixture) or
 from module definition files (--file), streams deterministic output to
-stdout (or --out), and exits 0 on success, 1 on a domain error, 2 on a
-usage error.  Only the invoked verb's parser is built, so a command does
-not pay for building the other verbs' parsers.
+stdout (or --out), and exits 0 on success, 1 on a domain error or when
+the reader closes stdout early, 2 on a usage error.  Only the invoked
+verb's parser is built, so a command does not pay for building the other
+verbs' parsers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -432,12 +434,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
-    except DomainError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (DomainError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader closed stdout early: what is still buffered, and the
+        # interpreter's final flush, go to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -4,9 +4,10 @@ A module is specified by labelled basis elements in each (cohomological)
 degree together with one matrix per algebra *generator* per degree; every
 other algebra basis element b acts through its left decomposition
 b = sum_k g_k.c_k, as packed columns per degree (``basis_columns``).
-Generator words serve only the Wall relations: ``validate`` certifies that
-the given matrices really define a module, over a full A(n) by applying
-each Wall relation word by word and checking that it acts as zero, over a
+Sums of generator words act letter by letter through ``words_op``, for
+the Wall relations and the integral in ``stable.reduce_module``.
+``validate`` certifies that the given matrices really define a module,
+over a full A(n) by checking that each Wall relation acts as zero, over a
 general subalgebra by checking the closure's presentation
 basis[i] * generator[k] = sum_j basis[j] column by column.
 
@@ -116,6 +117,21 @@ class GradedModule:
         """Columns of the i-th algebra basis element on degree d, from its
         left decomposition (see ``basis_columns``)."""
         return basis_columns(self, i, d, self._op_cache)
+
+    def words_op(self, words, d: int) -> list[int]:
+        """Columns on degree d of the sum of the generator words, each
+        applied letter by letter (its last letter first) to the unit
+        vectors; no table is filled."""
+        gdegs = self.algebra.gen_degrees
+        total = [0] * self.dim(d)
+        for word in words:
+            cols, e = [1 << j for j in range(self.dim(d))], d
+            for gi in reversed(word):
+                gen = self.columns(gi, e)
+                cols = [apply_cols(gen, c) for c in cols]
+                e += gdegs[gi]
+            total = [a ^ b for a, b in zip(total, cols)]
+        return total
 
     def element_op(self, e: SteenrodElt, d: int) -> tuple[int, ...]:
         """Columns of an element of the algebra's span on degree d: the sum
@@ -270,10 +286,10 @@ class ModuleMap:
 def validate(m: GradedModule) -> list[str]:
     """Empty list when the generator matrices define a genuine module.
 
-    Over a full A(n) this evaluates every Wall relation, applying each of
-    its words letter by letter to the unit vectors of every degree;
-    otherwise it checks the dim * (number of generators) relations
-    basis[i] * generator[k] = sum_j basis[j] that present the algebra.
+    Over a full A(n) this evaluates every Wall relation on every degree
+    through ``words_op``; otherwise it checks the dim * (number of
+    generators) relations basis[i] * generator[k] = sum_j basis[j] that
+    present the algebra.
     Violations name the failing relation (or product), the degree, and a
     witness basis element.
     """
@@ -283,14 +299,7 @@ def validate(m: GradedModule) -> list[str]:
     if alg.kind == "A":
         for rel in steenrod.wall_relations(alg.kind_param):
             for d in m.degrees():
-                total = [0] * m.dim(d)
-                for word in rel.words:
-                    cols, e = [1 << j for j in range(m.dim(d))], d
-                    for gi in reversed(word):
-                        gen = m.columns(gi, e)
-                        cols = [apply_cols(gen, c) for c in cols]
-                        e += gdegs[gi]
-                    total = [a ^ b for a, b in zip(total, cols)]
+                total = m.words_op(rel.words, d)
                 j = next((j for j, c in enumerate(total) if c), None)
                 if j is not None:
                     violations.append(f"relation {rel.label} is nonzero on "

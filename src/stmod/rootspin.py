@@ -139,32 +139,11 @@ def to_weight_coords(rs: RootSystem, root_coords) -> tuple[Fraction, ...]:
                  for i in range(n))
 
 
-def integer_determinant(mat) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def cartan_determinant(rs: RootSystem) -> int:
     """Determinant of the Cartan matrix = index of the root lattice in the
-    weight lattice = order of the centre of the simply connected form."""
-    return integer_determinant(rs.cartan)
+    weight lattice = order of the centre of the simply connected form, read
+    off the Hermite normal form of the adjoint form's lattice."""
+    return GroupForm.adjoint(rs).weight_index()
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +307,13 @@ class SpinReport(Value, frozen=True):
 def adjoint_spin(form: GroupForm) -> SpinReport:
     """Does the adjoint representation of this form lift to Spin?
 
-    Simply connected forms short-circuit to True (the half-sum is always a
-    weight); otherwise membership of the half-sum in the form's lattice is
-    decided by exact integer linear algebra.
+    Membership of the half-sum in the form's lattice is decided by exact
+    integer linear algebra; the certificate is its integer coordinates over
+    the lattice generators, or the first non-integral coordinate of rho.
     """
     rs = form.root_system
     rho = half_sum(rs)
     rho_w = to_weight_coords(rs, rho)
-    if form.label == "simply_connected":
-        # rho = sum of the fundamental weights: always a character here
-        return SpinReport(rs.name, form.label, rho, True, tuple(rho_w))
-    if form.label == "adjoint":
-        offend = next(((i, c) for i, c in enumerate(rho) if c.denominator != 1), None)
-        if offend is not None:
-            return SpinReport(rs.name, form.label, rho, False, offend)
-        return SpinReport(rs.name, form.label, rho,
-                          True, tuple(int(c) for c in rho))
     combo = lattice_member([list(g) for g in form.lattice], list(rho_w))
     if combo is None:
         offend = next(((i, c) for i, c in enumerate(rho) if c.denominator != 1),

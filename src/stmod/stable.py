@@ -13,9 +13,11 @@ That kernel is the largest submodule inside the kernels of the gamma_k,
 so it is found top-down from the generator actions alone: v lies in it
 when every gamma_k vanishes on v and each generator sends v into the
 kernel in its own, higher degree.  Functionals with the same span cut out
-the same kernel.  The reduced part is the stable representative of m,
-from which loop functors, stable isomorphism tests and self-duality
-shifts all follow.
+the same kernel.  Only m's generator matrices are read: Lambda acts by
+the words the closure recorded for it, and F's columns b*x are the
+differential of a resolver ``FreeStage`` on the x.  The reduced part is
+the stable representative of m, from which loop functors, stable
+isomorphism tests and self-duality shifts all follow.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .f2linalg import F2Matrix, F2Span, apply_cols, kernel_basis, rref, vec_supp
 from . import steenrod
 from .module import (GradedModule, ModuleMap, _free_quotient, aug_ideal_module,
                      direct_sum, dual, margolis_homology, suspend, tensor)
+from .resolve import FreeStage
 from .value import Value
 
 
@@ -57,10 +60,11 @@ def reduce_module(m: GradedModule) -> Decomposition:
 
     Degree by degree, lowest first, the basis vector e_j of m_d is a
     generator x when Lambda*e_j is independent of the Lambda-images of the
-    basis vectors before it.  The splitting functionals on m_(d+e) are the
-    coordinates at the pivots (lowest set bits) of the span of these
-    Lambda-images.  Their matrix against the Lambda*x is invertible, since
-    the span's echelon rows, one per x, are triangular at the pivots.
+    basis vectors before it, Lambda acting by its words (``words_op``).
+    The splitting functionals on m_(d+e) are the coordinates at the
+    pivots (lowest set bits) of the span of these Lambda-images.  Their
+    matrix against the Lambda*x is invertible, since the span's echelon
+    rows, one per x, are triangular at the pivots.
     The complement C is the kernel of v |-> (gamma_p(b*v))_(p, b), the
     largest submodule inside the kernels of the gamma_p.  It is built
     top-down from the generator actions alone: C_d is the v in m_d with no
@@ -74,18 +78,20 @@ def reduce_module(m: GradedModule) -> Decomposition:
     canonical for the subspace, so C is the complement that stripping one
     summand at a time, with the first coordinate of each Lambda*x in
     turn, would reach.  The free module F on the x maps to m by
-    b (x) x |-> b*x; with the inclusion of C this is one isomorphism,
-    verified as a module map.  A module with no free summand is returned
-    as it is.
+    b (x) x |-> b*x, the differential of a ``FreeStage`` over m with
+    generators the x, in ``_free_quotient``'s slot order; with the
+    inclusion of C this is one isomorphism, verified as a module map.  A
+    module with no free summand is returned as it is.
     """
     alg = m.algebra
-    lam = alg.integral()
+    alg.integral()  # NotFrobeniusError without a one-dimensional top
     e = alg.top_degree
+    lam_words = alg.expressions[alg.basis_by_degree(e)[0]]
     picked: dict[int, list[int]] = {}
     masks: dict[int, int] = {}  # pivot bits on m_(d+e) of the Lambda*x, x in m_d
     for d in m.degrees():
         images = F2Span()
-        picked[d] = [j for j, lam_x in enumerate(m.element_op(lam, d)) if images.add(lam_x)]
+        picked[d] = [j for j, lam_x in enumerate(m.words_op(lam_words, d)) if images.add(lam_x)]
         if images.dim:
             masks[d + e] = sum(1 << p for p in images.pivots())
     free_part = tuple(d for d, js in picked.items() for _ in js)
@@ -120,9 +126,16 @@ def reduce_module(m: GradedModule) -> Decomposition:
     labels = {d: tuple(f"c{d}_{i}" for i in range(len(basis[d]))) for d in m.degrees()}
     reduced = GradedModule(alg, labels, actions,
                            meta={"name": f"{m.meta.get('name', '?')}~"})
+    stage, first = FreeStage(m), {}  # first[d]: the stage's first generator of degree d
+    for d, js in picked.items():
+        first[d] = stage.rank
+        for j in js:
+            stage.add_generator(d, 1 << j)
     mats = {}
     for d in m.degrees():
-        cols = [m.basis_op(a, vd)[picked[vd][i]] for a, vd, i in slots.get(d, ())]
+        position = {slot: p for p, slot in enumerate(stage.basis(d))}
+        diff = stage.differential(d)
+        cols = [diff[position[first[vd] + i, a]] for a, vd, i in slots.get(d, ())]
         mats[d] = F2Matrix.from_cols(cols + basis[d], m.dim(d))
     isomorphism = ModuleMap(direct_sum(free, reduced), m, mats)
     return Decomposition(m, free_part, reduced, isomorphism)

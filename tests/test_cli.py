@@ -30,6 +30,26 @@ def test_python_dash_m_runs_without_warnings():
     assert done.stdout.startswith("usage: stmod")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["fixtures"], ["ext", "--fixture", "Joker"]])
+def test_closed_stdout_exits_one_without_traceback(argv, unbuffered):
+    """Output into a pipe whose reader has gone exits 1 with nothing on
+    stderr, whether stdout is block-buffered or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "stmod", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_spin_check_g2(capsys):
     code, out, _ = run(capsys, "spin-check", "--type", "G2", "--form", "adjoint")
     assert code == 0

@@ -106,15 +106,18 @@ ACTION_CASES = {
 
 @pytest.mark.parametrize("name", ACTION_CASES)
 def test_basis_op_matches_word_expressions(name):
-    """Every basis element on every degree; over A(3), whose 1,024 word
-    expressions take seconds to evaluate, a seeded quarter of them."""
+    """Every basis element on every degree, by its left decomposition and
+    by ``words_op`` on its words; over A(3), whose 1,024 word expressions
+    take seconds to evaluate, a seeded quarter of them."""
     m = ACTION_CASES[name]()
     indices = range(m.algebra.dim)
     if len(indices) > 256:
         indices = random.Random(0).sample(indices, 256)
     for i in indices:
         for d in m.degrees():
-            assert m.basis_op(i, d) == expression_columns(m, i, d), (i, d)
+            want = expression_columns(m, i, d)
+            assert m.basis_op(i, d) == want, (i, d)
+            assert tuple(m.words_op(m.algebra.expressions[i], d)) == want, (i, d)
 
 
 def test_basis_op_columns_are_products(A2):

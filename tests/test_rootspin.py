@@ -7,7 +7,7 @@ import pytest
 from stmod import rootspin as rs
 from stmod.rootspin import (GroupForm, adjoint_spin, cartan_determinant,
                             generate_positive_roots, half_sum,
-                            hermite_normal_form, integer_determinant,
+                            hermite_normal_form,
                             lattice_member, to_weight_coords, u_n_adjoint_spin)
 
 
@@ -128,12 +128,23 @@ def test_cartan_determinants_classical_with_cofactor_oracle():
 
 
 def test_integer_determinant_oracle_random():
+    """The product of the HNF pivots is |det|, and a singular matrix has
+    fewer pivot rows than its size."""
     import random
     rng = random.Random(8)
+    singular = 0
     for _ in range(30):
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert integer_determinant(m) == cofactor_det(m)
+        hnf = hermite_normal_form(m)
+        det = 0
+        if len(hnf) == n:
+            det = 1
+            for row in hnf:
+                det *= next(x for x in row if x)
+        singular += det == 0
+        assert det == abs(cofactor_det(m))
+    assert singular
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Free-summand stripping, loop functors, isomorphism search, exactness."""
 
+import hashlib
 import re
 from functools import reduce
 from operator import xor
@@ -14,6 +15,7 @@ from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
                           margolis_homology, quotient_by_left_ideal,
                           regular_module, suspend, tensor, trivial_module,
                           ModuleMap)
+from stmod.resolve import ext_chart
 from stmod.stable import (InconclusiveIsomorphism, check_exact, hom_space,
                           iso_test, loop, oloop, reduce_module, selfdual_shift)
 from stmod.steenrod import sq
@@ -153,6 +155,69 @@ def test_reduce_augmentation_ideal_square_at_a2(A2):
         assert margolis_homology(dec.reduced_part, s) == margolis_homology(m, s), s
 
 
+def test_reduce_fills_no_basis_table(A2):
+    """Lambda acts by its word and the free columns come from a free stage,
+    so the module's basis_op and element_op tables stay empty."""
+    m = tensor(aug_ideal_module(A2), a2_mod_a1())
+    assert reduce_module(m).verify()
+    assert m._op_cache == {} and m._elt_cache == {}
+
+
+def decomposition_digest(dec):
+    """Free part, reduced labels and action columns, isomorphism matrices
+    and the verdict of ``verify``, hashed."""
+    red, iso = dec.reduced_part, dec.isomorphism
+    blob = repr((dec.free_part, sorted(red.labels.items()),
+                 sorted((gi, sorted((d, mat.rows, mat.columns) for d, mat in per.items()))
+                        for gi, per in red.actions.items()),
+                 sorted((d, mat.rows, mat.columns) for d, mat in iso.mats.items()),
+                 dec.verify()))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _power(m, k):
+    return reduce(tensor, [m] * k)
+
+
+def _fixture_tensor(a, b):
+    return tensor(fixtures.load_fixture(a), fixtures.load_fixture(b))
+
+
+# name -> (pinned digest, module)
+DIGEST_CASES = {
+    "Joker": ("bd0d3d9d6ad6f370", lambda: fixtures.load_fixture("Joker")),
+    "SO8modSp2": ("4a3724c1f67fc90d", lambda: fixtures.load_fixture("SO8modSp2")),
+    "Joker^2": ("abd47f314618af91", lambda: _fixture_tensor("Joker", "Joker")),
+    "A1modSq1Sq2Sq1(x)Joker": ("a0583daab29ed88e",
+                               lambda: _fixture_tensor("A1modSq1Sq2Sq1", "Joker")),
+    "I(A1)(x)HZ": ("44544d3eb3d63bc9",
+                   lambda: tensor(aug_ideal_module(st.A(1)), fixtures.load_fixture("HZ"))),
+    "D(I(A1))(x)QuestionMark": ("212ee9a4e2170249",
+                                lambda: tensor(dual(aug_ideal_module(st.A(1))),
+                                               fixtures.load_fixture("QuestionMark"))),
+    "Joker^3(x)HZ": ("4a38a2830828113e",
+                     lambda: tensor(_power(fixtures.load_fixture("Joker"), 3),
+                                    fixtures.load_fixture("HZ"))),
+    "I(A2)(x)A2//A1": ("0857df97ce81ddf5",
+                       lambda: tensor(aug_ideal_module(st.A(2)), a2_mod_a1())),
+    "D(I(A2))(x)A2//A1": ("fa842898c0f987ae",
+                          lambda: tensor(dual(aug_ideal_module(st.A(2))), a2_mod_a1())),
+    "E(2)": ("d0ba23716ab0eb19", lambda: regular_module(st.E(2))),
+    "I(E(1))^2": ("65d8e14393323a01", lambda: _power(aug_ideal_module(st.E(1)), 2)),
+    "loop^3 Joker": ("3d4cd0c66913d42b",
+                     lambda: loop(loop(loop(fixtures.load_fixture("Joker"))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_decomposition_digest_is_pinned(name):
+    """The whole decomposition, basis choices and isomorphism matrices
+    included, is pinned on representative modules over A(1), A(2) and
+    E(1)/E(2)."""
+    digest, build = DIGEST_CASES[name]
+    assert decomposition_digest(reduce_module(build())) == digest
+
+
 # ---------------------------------------------------------------------------
 # loops
 
@@ -192,6 +257,23 @@ def test_loop_over_other_algebras():
     f2 = trivial_module(e1)
     l1 = loop(f2)
     assert l1.total_dim == 3  # the augmentation ideal of E(1) is its syzygy
+
+
+@pytest.mark.parametrize("name, k, s_max, t_max", [
+    ("A2//A1", 1, 5, 30),
+    ("A2//A1", 2, 4, 30),
+    ("F2 over A2", 2, 5, 30),
+    ("A3//A2", 1, 4, 40),
+])
+def test_loop_shifts_the_ext_chart(name, k, s_max, t_max):
+    """Omega^k m is the k-th syzygy of a minimal resolution of m with its
+    free summands stripped, so Ext^(s,t)(Omega^k m) = Ext^(s+k,t)(m)."""
+    m = {"A2//A1": a2_mod_a1,
+         "F2 over A2": lambda: trivial_module(st.A(2)),
+         "A3//A2": lambda: hopf_quotient(st.A(3), st.A(2, 3))}[name]()
+    looped = reduce(lambda x, _: loop(x), range(k), m)
+    chart = ext_chart(looped, s_max, t_max)
+    assert chart.window_equal(ext_chart(m, s_max + k, t_max), s_max, t_max, shift=(k, 0))
 
 
 # ---------------------------------------------------------------------------
