@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .f2linalg import F2Matrix, apply_cols, eliminate, rref, solve, vec_support
+from .f2linalg import F2Matrix, apply_cols, eliminate, rref, vec_support
 from .module import GradedModule, basis_columns
 from .steenrod import SubHopfAlgebra
 from .value import Value
@@ -380,79 +380,68 @@ def yoneda_action(res: MinimalResolution, s0: int, t0: int,
     """Chain-map lift of a stage-s0 cocycle of a resolution of the trivial
     module, and the induced pairing Ext^{s,t} -> Ext^{s+s0,t+t0}.
 
-    ``cocycle`` selects stage-s0 generators in degree t0 (an index, or a
-    packed vector over those generators).  Returns matrices between the
-    chart bases (generators in the given bidegrees).
+    ``cocycle`` selects stage-s0 generators in degree t0: an index into
+    those generators, or a dict {generator index: bit}.  The lift
+    Phi_k : P_{k+s0} -> P_k lowers internal degree by t0; Phi_k(g) solves
+    d(Phi_k(g)) = Phi_{k-1}(d(g)), with Phi_{k-1} read off a free stage over
+    P_{k-1} whose generators carry the previous lifts.  Returns matrices
+    between the chart bases (generators in the given bidegrees).
     """
-    mod = res.module
-    if mod.dims() != {0: 1}:
+    if res.module.dims() != {0: 1}:
         raise ValueError("Yoneda lifts are implemented against a resolution "
                          "of the trivial module")
+    if not 0 <= s0 < len(res.stages):
+        raise ValueError(f"s0 = {s0} is not a stage of the resolution "
+                         f"(0..{len(res.stages) - 1})")
     gens_s0 = [gi for gi, gd in enumerate(res.stages[s0].gen_degrees) if gd == t0]
     if not gens_s0:
         raise ValueError(f"no stage-{s0} generators in degree {t0}")
     if isinstance(cocycle, int):
-        select = {gens_s0[cocycle]: 1}
-    else:
-        select = cocycle
+        if not 0 <= cocycle < len(gens_s0):
+            raise ValueError(f"cocycle index {cocycle} is out of range: stage "
+                             f"{s0} has {len(gens_s0)} generators in degree {t0}")
+        cocycle = {gens_s0[cocycle]: 1}
+    for gi in cocycle:
+        if gi not in gens_s0:
+            raise ValueError(f"cocycle key {gi!r} is not a stage-{s0} generator "
+                             f"in degree {t0} (those are {gens_s0})")
 
-    # Phi_0 : P_{s0} -> P_0 lifting phi through the augmentation
-    lifts: list[dict[int, int]] = []  # lifts[k][gi] = vector in stage k at deg(gi)-t0
-    phi0: dict[int, int] = {}
-    stage0 = res.stages[0]
-    for gi, gd in enumerate(res.stages[s0].gen_degrees):
-        value = select.get(gi, 0) & 1
-        target = (1 << 0) if value and mod.dim(0) else 0
-        if gd - t0 < 0 and target:
-            raise ArithmeticError("cocycle lift escapes the resolution window")
-        mat = res.diff_matrix(0, gd - t0)
-        x = solve(mat, target if mod.dim(gd - t0) else 0)
-        if x is None:
-            raise ArithmeticError("augmentation lift failed")
-        phi0[gi] = x
-    lifts.append(phi0)
-
+    # lifts[k][g] = Phi_k(g) in stage k, degree deg(g) - t0; Phi_0 sends a
+    # selected generator to bit 0, the unit slot of P_0 in degree 0
+    lifts = [[cocycle.get(gi, 0) & 1 for gi in range(res.stages[s0].rank)]]
     for k in range(1, len(res.stages) - s0):
-        prev_lift = lifts[k - 1]
-        cur: dict[int, int] = {}
-        stage_src = res.stages[k + s0]
-        for gj, gd in enumerate(stage_src.gen_degrees):
-            img = stage_src.images[gj]  # in stage k+s0-1 at degree gd
-            rhs = 0
-            prev_stage = res.stages[k + s0 - 1]
-            for slot in vec_support(img):
-                gi, bi = prev_stage.basis(gd)[slot]
-                v = prev_lift.get(gi, 0)
-                if v:
-                    rhs ^= res.stages[k - 1].act(prev_stage.gen_degrees[gi] - t0,
-                                                 bi, v)
-            mat = res.diff_matrix(k, gd - t0)
-            x = solve(mat, rhs)
-            if x is None:
+        phi = FreeStage(res.stages[k - 1])
+        for gd, image in zip(res.stages[k + s0 - 1].gen_degrees, lifts[-1]):
+            phi.add_generator(gd - t0, image)
+        source, spans, cur = res.stages[k + s0], {}, []
+        for gd, image in zip(source.gen_degrees, source.images):
+            t = gd - t0
+            if t not in spans:
+                spans[t] = eliminate(res.stages[k].differential(t))[0]
+            residual, x = spans[t].reduce(apply_cols(phi.differential(t), image))
+            if residual:
                 raise ArithmeticError("chain-map lift failed; resolution is "
                                       "not exact in the needed range")
-            cur[gj] = x
+            cur.append(x)
         lifts.append(cur)
 
     unit = res.algebra.unit_index
     out: dict[tuple[int, int], F2Matrix] = {}
-    chart = res.chart()
-    for (s, t), _ in chart.items():
+    for (s, t), _ in res.chart().items():
         s2, t2 = s + s0, t + t0
-        if s >= len(lifts) or s2 >= len(res.stages) or t2 > res.t_max:
+        if s2 >= len(res.stages) or t2 > res.t_max:
             continue
         src_gens = [gi for gi, gd in enumerate(res.stages[s].gen_degrees) if gd == t]
-        dst_gens = [gi for gi, gd in enumerate(res.stages[s2].gen_degrees) if gd == t2]
         src_col = {gi: j for j, gi in enumerate(src_gens)}
-        lift = lifts[s]
+        slots = res.stages[s].basis(t)
         data = []
-        for gu in dst_gens:
-            v = lift.get(gu, 0)
+        for gu, gd in enumerate(res.stages[s2].gen_degrees):
+            if gd != t2:
+                continue
             rowbits = 0
-            stage_s = res.stages[s]
-            for slot in vec_support(v):
-                gi, bi = stage_s.basis(t)[slot]
-                if bi == unit and gi in src_col:
+            for slot in vec_support(lifts[s][gu]):
+                gi, bi = slots[slot]
+                if bi == unit:
                     rowbits |= 1 << src_col[gi]
             data.append(rowbits)
         out[(s, t)] = F2Matrix.from_rows(data, len(src_gens))

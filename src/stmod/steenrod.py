@@ -15,7 +15,7 @@ while the word expressions are what the Wall relations are written in.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .f2linalg import F2Span, vec_support
 from .value import Value
@@ -426,7 +426,6 @@ class SubHopfAlgebra:
         self._mult_table: dict = {}
         self._left_table: dict[tuple[int, int], int] = {}
         self._left_decomp: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._flags: dict = {}
 
     # -- basic shape ---------------------------------------------------------
 
@@ -470,11 +469,6 @@ class SubHopfAlgebra:
         if e.ambient != self.ambient:
             return False
         return self._span.reduce(_elt_to_vec(e))[0] == 0
-
-    def is_subalgebra_of(self, other: "SubHopfAlgebra") -> bool:
-        if self.ambient != other.ambient:
-            return False
-        return all(other.contains_element(b) for b in self.basis)
 
     # -- multiplicative structure --------------------------------------------
 
@@ -540,44 +534,41 @@ class SubHopfAlgebra:
         return hit
 
     # -- Hopf-theoretic flags --------------------------------------------------
+    # Decided on the generators alone: every basis element is a sum of
+    # generator words, the coproduct is multiplicative and the antipode
+    # reverses products (Milnor 1958), so the span is closed under either
+    # one as soon as its generators are; and a subalgebra, closed under
+    # products, holds every word in generators that it holds.
 
-    @property
+    def is_subalgebra_of(self, other: "SubHopfAlgebra") -> bool:
+        if self.ambient != other.ambient:
+            return False
+        return all(other.contains_element(g) for g in self.generators)
+
+    @cached_property
     def is_commutative(self) -> bool:
-        if "commutative" not in self._flags:
-            self._flags["commutative"] = all(
-                (g * h).terms == (h * g).terms
-                for g in self.generators for h in self.generators)
-        return self._flags["commutative"]
+        return all((g * h).terms == (h * g).terms
+                   for g in self.generators for h in self.generators)
 
-    @property
+    @cached_property
     def is_sub_hopf(self) -> bool:
         """True when the span is closed under the coproduct."""
-        if "sub_hopf" not in self._flags:
-            ok = True
-            for b in self.basis:
-                left: dict[tuple[int, ...], int] = {}
-                right: dict[tuple[int, ...], int] = {}
-                idx = _basis_index(self.ambient)
-                for t in b.terms:
-                    for a, c in _term_coproduct(t):
-                        left[a] = left.get(a, 0) ^ (1 << idx[c])
-                        right[c] = right.get(c, 0) ^ (1 << idx[a])
-                for vec in list(left.values()) + list(right.values()):
-                    if vec and self._span.reduce(vec)[0] != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._flags["sub_hopf"] = ok
-        return self._flags["sub_hopf"]
+        idx = _basis_index(self.ambient)
+        for g in self.generators:
+            left: dict[tuple[int, ...], int] = {}
+            right: dict[tuple[int, ...], int] = {}
+            for t in g.terms:
+                for a, c in _term_coproduct(t):
+                    left[a] = left.get(a, 0) ^ (1 << idx[c])
+                    right[c] = right.get(c, 0) ^ (1 << idx[a])
+            if any(self._span.reduce(vec)[0]
+                   for vec in (*left.values(), *right.values())):
+                return False
+        return True
 
-    @property
+    @cached_property
     def antipode_closed(self) -> bool:
-        if "antipode" not in self._flags:
-            self._flags["antipode"] = all(
-                self._span.reduce(_elt_to_vec(antipode(b)))[0] == 0
-                for b in self.basis)
-        return self._flags["antipode"]
+        return all(self.contains_element(antipode(g)) for g in self.generators)
 
     def integral(self) -> SteenrodElt:
         """The top-degree basis element; requires a one-dimensional top."""
@@ -817,11 +808,6 @@ def double_pushforward(k: int) -> int | None:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return k // 2 if k % 2 == 0 else None
-
-
-def integral(alg: SubHopfAlgebra) -> SteenrodElt:
-    """Top-degree basis element of a subalgebra with one-dimensional top."""
-    return alg.integral()
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,10 @@ def test_dual_of_regular_is_shifted_regular(a1_regular):
     assert iso_test(d, suspend(a1_regular, -6)) is not None
 
 
+def test_dual_of_a3_mod_a2_is_a_module():
+    assert validate(dual(hopf_quotient(st.A(3), st.A(2, 3)))) == []
+
+
 def test_dual_of_aug_ideal_has_displayed_degrees():
     i1 = fixtures.load_fixture("I1")
     di1 = dual(i1)

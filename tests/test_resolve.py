@@ -7,7 +7,7 @@ import time
 import pytest
 
 from stmod import fixtures, module as md, resolve as rv, steenrod as st
-from stmod.f2linalg import F2Matrix, apply_cols, rref, vec_support
+from stmod.f2linalg import F2Matrix, F2Span, apply_cols, rref, vec_support
 from stmod.module import (dual, hopf_quotient, regular_module, suspend,
                           tensor, trivial_module)
 from stmod.resolve import (ext_chart, ext_groups, minimal_resolution,
@@ -326,6 +326,67 @@ def test_yoneda_rejects_non_trivial_target(joker):
     res = minimal_resolution(joker, 3, 10)
     with pytest.raises(ValueError):
         yoneda_action(res, 1, 1)
+
+
+# over A(1), stage 1 holds h0 (generator 0, degree 1) and h1 (generator 1,
+# degree 2), and f2_resolution has stages 0..13
+@pytest.mark.parametrize("s0, t0, cocycle, named", [
+    (14, 1, 0, "s0 = 14"),
+    (-1, 1, 0, "s0 = -1"),
+    (1, 1, 1, "cocycle index 1"),
+    (1, 1, {3: 1}, "cocycle key 3"),
+    (1, 2, {0: 1}, "cocycle key 0"),
+], ids=["s0-past-last-stage", "s0-negative", "index-out-of-range",
+        "key-not-a-generator", "key-of-another-degree"])
+def test_yoneda_names_bad_input(f2_resolution, s0, t0, cocycle, named):
+    with pytest.raises(ValueError, match=named):
+        yoneda_action(f2_resolution, s0, t0, cocycle)
+
+
+def indecomposables(alg, d):
+    """A test for packed vectors over the degree-d basis that are not in
+    (A+)^2, which the products of positive-degree basis elements span."""
+    ids = alg.basis_by_degree(d)
+    decomposables = F2Span()
+    for x in alg.basis:
+        if 0 < x.degree() < d:
+            for j in alg.basis_by_degree(d - x.degree()):
+                decomposables.add(sum(1 << ids.index(k)
+                                      for k in alg.decompose(x * alg.basis[j])))
+    return lambda packed: not decomposables.contains(packed)
+
+
+def h_k_oracle(res, d, is_indecomposable, s, t):
+    """Multiplication by h_k, of degree d = 2^k, from Ext^{s,t} read off
+    d_{s+1}: entry (g', g) is 1 when d(g') has a coefficient on g outside
+    (A+)^2."""
+    alg, stage = res.algebra, res.stages[s + 1]
+    src = [g for g, gd in enumerate(res.stages[s].gen_degrees) if gd == t]
+    rows = []
+    for g2, gd in enumerate(stage.gen_degrees):
+        if gd != t + d:
+            continue
+        coefficient = dict.fromkeys(src, 0)
+        for slot in vec_support(stage.images[g2]):
+            g, b = stage.below.basis(gd)[slot]
+            if g in coefficient:
+                coefficient[g] |= 1 << alg.degree_position[b]
+        rows.append(sum(is_indecomposable(coefficient[g]) << j
+                        for j, g in enumerate(src)))
+    return F2Matrix.from_rows(rows, len(src))
+
+
+@pytest.mark.parametrize("n, s_max, t_max", [(1, 10, 40), (2, 8, 40), (3, 5, 30)])
+def test_yoneda_h_k_matches_the_indecomposable_coefficients(n, s_max, t_max):
+    res = minimal_resolution(trivial_module(st.A(n)), s_max, t_max)
+    for k in range(n + 1):
+        d = 2 ** k
+        is_indecomposable = indecomposables(res.algebra, d)
+        act = yoneda_action(res, 1, d)
+        assert set(act) == {(s, t) for (s, t), _ in res.chart().items()
+                            if s < s_max and t + d <= t_max}
+        for (s, t), mat in act.items():
+            assert mat == h_k_oracle(res, d, is_indecomposable, s, t), (k, s, t)
 
 
 # ---------------------------------------------------------------------------

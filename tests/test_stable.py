@@ -416,7 +416,7 @@ def test_question_mark_not_selfdual():
 
 def test_hopf_quotient_shift_formula(A1, A2):
     pairs = [(A1, st.A(0, 1)), (A1, st.E(1)), (A1, fixtures.algebra_P11()),
-             (A2, st.A(1, 2)), (A2, st.E(2))]
+             (A2, st.A(1, 2)), (A2, st.E(2)), (st.A(3), st.A(2, 3))]
     for h, k in pairs:
         q = hopf_quotient(h, k)
         want = h.top_degree - k.top_degree

@@ -321,6 +321,76 @@ def test_degree_tables_match_basis_scan(make):
     assert alg.gen_degrees == tuple(g.degree() for g in alg.generators)
 
 
+# The Hopf flags are decided on the generators; these whole-basis sweeps are
+# the reference they must agree with.
+
+def sweep_is_sub_hopf(alg):
+    for b in alg.basis:
+        left, right = {}, {}
+        for a, c in coproduct(b):
+            left[a] = left.get(a, zero(alg.ambient)) + c
+            right[c] = right.get(c, zero(alg.ambient)) + a
+        if not all(map(alg.contains_element, [*left.values(), *right.values()])):
+            return False
+    return True
+
+
+def sweep_antipode_closed(alg):
+    return all(alg.contains_element(antipode(b)) for b in alg.basis)
+
+
+def sweep_is_subalgebra_of(alg, other):
+    return (alg.ambient == other.ambient
+            and all(other.contains_element(b) for b in alg.basis))
+
+
+FLAG_CLOSURES = [(1, ["Sq^2"]), (1, ["Sq^3"]), (1, ["Sq^2 Sq^1"]),
+                 (1, ["Sq^1 Sq^2"]), (2, ["Sq^4"]), (2, ["Sq^1", "Sq^4"]),
+                 (2, ["Sq^2", "Sq^4"]), (2, ["Sq^3 + Sq(0,1)", "Sq^1"])]
+
+
+@functools.lru_cache(maxsize=None)
+def flag_algebras():
+    """Every A(n) and E(n) inside A(m) for n <= m <= 3, B, Q_1's exterior
+    algebra, and closures that are not sub-Hopf, some not closed under the
+    antipode either."""
+    algs = [make(n) if n == m else make(n, m) for make in (st.A, st.E)
+            for m in range(4) for n in range(m + 1)]
+    algs += [fixtures.algebra_B(), fixtures.algebra_P11()]
+    algs += [st.subalgebra_closure([parse_element(w, a) for w in words], a)
+             for a, words in FLAG_CLOSURES]
+    return tuple(algs)
+
+
+def test_flag_algebras_cover_both_answers():
+    algs = flag_algebras()
+    assert len(algs) == 30
+    assert {(a.is_sub_hopf, a.antipode_closed) for a in algs} == {
+        (True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("i", range(30))
+def test_hopf_flags_match_the_whole_basis_sweep(i):
+    alg = flag_algebras()[i]
+    if alg is st.A(3):
+        # the sweep over its 1,024 basis elements takes about 20 s
+        assert alg.is_sub_hopf and alg.antipode_closed
+        return
+    assert alg.is_sub_hopf == sweep_is_sub_hopf(alg)
+    assert alg.antipode_closed == sweep_antipode_closed(alg)
+
+
+def test_is_subalgebra_of_matches_the_whole_basis_sweep():
+    algs = flag_algebras()
+    answers = set()
+    for a in algs:
+        for b in algs:
+            got = a.is_subalgebra_of(b)
+            assert got == sweep_is_subalgebra_of(a, b), (a.name, b.name)
+            answers.add((got, b.is_subalgebra_of(a)))
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_dimension_formula():
     for n in (0, 1, 2):
         assert st.A(n).dim == 2 ** ((n + 1) * (n + 2) // 2)
