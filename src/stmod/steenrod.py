@@ -93,6 +93,14 @@ def _basis_index(n: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(milnor_basis(n))}
 
 
+def _in_basis(terms, n: int) -> bool:
+    """Whether every term is a Milnor basis element of A(n), by lookup in
+    the cached index when 0 <= n <= MAX_AMBIENT.  The basis is exactly the
+    normalised tuples that fit the profile; False (beyond MAX_AMBIENT, or
+    on a miss) leaves the caller to check term by term."""
+    return not terms or (0 <= n <= MAX_AMBIENT and _basis_index(n).keys() >= terms)
+
+
 @lru_cache(maxsize=None)
 def _term_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Product of two Milnor basis elements, as a set of basis terms (mod 2).
@@ -221,11 +229,12 @@ class SteenrodElt(Value, frozen=True):
     __slots__ = ("ambient", "terms")
 
     def __init__(self, ambient: int, terms: frozenset[tuple[int, ...]]):
-        for t in terms:
-            if t != _normalize(t):
-                raise ValueError(f"non-normalized exponent tuple {t}")
-            if not fits_profile(t, ambient):
-                raise OutOfAmbientError(f"{_term_str(t)} does not lie in A({ambient})")
+        if not _in_basis(terms, ambient):
+            for t in terms:
+                if t != _normalize(t):
+                    raise ValueError(f"non-normalized exponent tuple {t}")
+                if not fits_profile(t, ambient):
+                    raise OutOfAmbientError(f"{_term_str(t)} does not lie in A({ambient})")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", terms)
 
@@ -272,12 +281,13 @@ class SteenrodElt(Value, frozen=True):
         for a in self.terms:
             for b in other.terms:
                 acc ^= _term_product(a, b)
-        for t in acc:
-            # A(n) is closed under the product; a profile escape would mean
-            # the ambient tags were wrong in the first place
-            if not fits_profile(t, self.ambient):
-                raise OutOfAmbientError(
-                    f"product escaped A({self.ambient}) at {_term_str(t)}")
+        if not _in_basis(acc, self.ambient):
+            for t in acc:
+                # A(n) is closed under the product; a profile escape would
+                # mean the ambient tags were wrong in the first place
+                if not fits_profile(t, self.ambient):
+                    raise OutOfAmbientError(
+                        f"product escaped A({self.ambient}) at {_term_str(t)}")
         return SteenrodElt(self.ambient, frozenset(acc))
 
     def __str__(self) -> str:
@@ -633,7 +643,7 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
             return
         # reduce() reports which raw inserted vectors were folded in, so the
         # residual's expression is the new word plus those vectors' words
-        span.add(vec, 1 << len(words))
+        span.add(residual, combo ^ (1 << len(words)))
         resid_exprs.append(frozenset({word}).union(words[i] for i in vec_support(combo)))
         words.append(word)
         residual_vecs.append(residual)
@@ -677,17 +687,20 @@ def _word_value(gens, ambient: int, word: Word) -> SteenrodElt:
     return e
 
 
-@lru_cache(maxsize=None)
 def A(n: int, ambient: int | None = None) -> SubHopfAlgebra:
     """The subalgebra A(n) generated by Sq^1, ..., Sq^{2^n}.
 
     The basis is the closure's echelon basis, which spans A(n); it is not
     the Milnor basis of A(n), since some basis elements are sums of several
     Milnor basis elements (10 of A(2)'s 64, 537 of A(3)'s 1,024).  Passing
-    a larger ambient embeds A(n) in A(ambient).
+    a larger ambient embeds A(n) in A(ambient).  Each algebra is built once:
+    A(n) and A(n, n) are the same object.
     """
-    if ambient is None:
-        ambient = n
+    return _A(n, n if ambient is None else ambient)
+
+
+@lru_cache(maxsize=None)
+def _A(n: int, ambient: int) -> SubHopfAlgebra:
     if not 0 <= n <= ambient:
         raise ValueError("need 0 <= n <= ambient")
     if ambient > MAX_AMBIENT:
@@ -701,11 +714,14 @@ def A(n: int, ambient: int | None = None) -> SubHopfAlgebra:
                               kind="A", kind_param=n)
 
 
-@lru_cache(maxsize=None)
 def E(n: int, ambient: int | None = None) -> SubHopfAlgebra:
-    """The exterior subalgebra E(n) on the Milnor primitives Q_0, ..., Q_n."""
-    if ambient is None:
-        ambient = n
+    """The exterior subalgebra E(n) on the Milnor primitives Q_0, ..., Q_n,
+    built once: E(n) and E(n, n) are the same object."""
+    return _E(n, n if ambient is None else ambient)
+
+
+@lru_cache(maxsize=None)
+def _E(n: int, ambient: int) -> SubHopfAlgebra:
     if not 0 <= n <= ambient:
         raise ValueError("need 0 <= n <= ambient")
     if ambient > MAX_AMBIENT:

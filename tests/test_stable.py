@@ -9,15 +9,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from stmod import fixtures, module as md, steenrod as st
-from stmod.f2linalg import F2Matrix, rank
+from stmod import fixtures, module as md, stable, steenrod as st
+from stmod.f2linalg import F2Matrix, rank, vec_support
 from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
                           margolis_homology, quotient_by_left_ideal,
                           regular_module, suspend, tensor, trivial_module,
                           ModuleMap)
 from stmod.resolve import ext_chart
-from stmod.stable import (InconclusiveIsomorphism, check_exact, hom_space,
-                          iso_test, loop, oloop, reduce_module, selfdual_shift)
+from stmod.stable import (InconclusiveIsomorphism, _candidates, _unpack, check_exact,
+                          hom_space, iso_test, loop, oloop, reduce_module,
+                          selfdual_shift)
 from stmod.steenrod import sq
 
 
@@ -375,6 +376,37 @@ def test_iso_search_out_of_budget_is_inconclusive():
     a, b = so8_dual_pair()
     with pytest.raises(InconclusiveIsomorphism, match="dimension 22"):
         iso_test(a, b, budget=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.lists(hst.integers(0, 2 ** 12), min_size=1, max_size=24),
+       hst.integers(0, 2 ** 32), hst.integers(0, 400))
+def test_probing_candidates_are_the_support_xors(sols, seed, budget):
+    # few-bit solutions repeat sums, so some draws are 0 and are skipped
+    h = len(sols)
+    budget = min(budget, 2 ** h - 2)
+    rng = Random(seed)
+    want = list(sols)
+    for _ in range(budget):
+        v = reduce(xor, (sols[i] for i in vec_support(rng.getrandbits(h))), 0)
+        if v:
+            want.append(v)
+    assert list(_candidates(sols, budget, seed)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(hst.integers(0, 4), min_size=1, max_size=4),
+       hst.lists(hst.integers(0, 2 ** 40), min_size=1, max_size=200))
+def test_memoised_block_verdicts_match_rank(sizes, maps):
+    blocks, off = [], 0
+    for d, k in enumerate(sizes):
+        blocks.append((d, off, k, k))
+        off += k * k
+    invertible = stable._invertibility_test(blocks)
+    # repeated maps and narrow blocks make most verdicts memo hits
+    for v in maps + maps[::-1]:
+        want = all(rank(mat) == mat.rows for mat in _unpack(v, blocks).values())
+        assert invertible(v) == want
 
 
 def test_hom_space_elements_are_module_maps(joker, hz):

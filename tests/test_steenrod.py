@@ -281,6 +281,12 @@ def test_primitive_out_of_ambient():
 # closures
 
 
+def test_each_algebra_is_built_once():
+    assert st.A(3, 3) is st.A(3)
+    assert st.A(1, ambient=1) is st.A(1)
+    assert st.E(2, 2) is st.E(2)
+
+
 def test_closure_a0_inside_a1():
     alg = st.subalgebra_closure([sq(1, 1)], 1)
     assert alg.dim == 2

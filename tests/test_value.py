@@ -114,11 +114,22 @@ def test_keyword_construction_and_default():
 
 
 def test_steenrod_elt_checks_its_terms():
-    with pytest.raises(ValueError, match=r"^non-normalized exponent tuple \(1, 0\)$"):
-        steenrod.SteenrodElt(1, frozenset({(1, 0)}))
-    with pytest.raises(steenrod.OutOfAmbientError, match=r"^Sq\(4\) does not lie in A\(1\)$"):
-        steenrod.SteenrodElt(1, frozenset({(4,)}))
-    assert steenrod.SteenrodElt(1, frozenset({(3,)})).terms == frozenset({(3,)})
+    # ambient 4 is beyond MAX_AMBIENT, where terms are checked one by one
+    for ambient in range(5):
+        top = (2 ** (ambient + 1) - 1,)
+        assert steenrod.SteenrodElt(ambient, frozenset({(), top})).terms == {(), top}
+        with pytest.raises(ValueError, match=r"^non-normalized exponent tuple \(1, 0\)$"):
+            steenrod.SteenrodElt(ambient, frozenset({(), (1, 0)}))
+        with pytest.raises(ValueError, match=r"^Milnor exponents must be nonnegative$"):
+            steenrod.SteenrodElt(ambient, frozenset({(-1,)}))
+        too_big = 2 ** (ambient + 1)
+        with pytest.raises(steenrod.OutOfAmbientError,
+                           match=rf"^Sq\({too_big}\) does not lie in A\({ambient}\)$"):
+            steenrod.SteenrodElt(ambient, frozenset({top, (too_big,)}))
+        too_long = "0," * (ambient + 1) + "1"
+        with pytest.raises(steenrod.OutOfAmbientError,
+                           match=rf"^Sq\({too_long}\) does not lie in A\({ambient}\)$"):
+            steenrod.SteenrodElt(ambient, frozenset({(0,) * (ambient + 1) + (1,)}))
 
 
 def test_import_loads_every_layer_and_no_dataclasses():
