@@ -3,18 +3,24 @@
 Every verb reads modules from the shipped fixture library (--fixture) or
 from module definition files (--file), streams deterministic output to
 stdout (or --out), and exits 0 on success, 1 on a domain error or when
-the reader closes stdout early, 2 on a usage error.  Only the invoked
-verb's parser is built, so a command does not pay for building the other
-verbs' parsers.
+the reader closes stdout early, 2 on a usage error.
+
+The verbs and their flags are declared once, in ``_VERBS``.  A plain
+command line (a verb, then only that verb's flags, each spelled out in full
+with a value that does not start with '-') is read straight from that table
+by ``_plain_args``.  Anything else (help, abbreviated flags, '--', dash-led
+values, every usage error) goes to argparse, which alone builds help text
+and usage errors; argparse is imported only then, and only the invoked
+verb's parser is built.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+import types
 
 from . import fixtures, modfile, module as md, resolve, rootspin, stable, steenrod
 
@@ -58,8 +64,11 @@ def _load(args, attr_fixture="fixture", attr_file="file") -> md.GradedModule:
 def _emit(args, text: str):
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"--out: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -412,9 +421,67 @@ _VERBS = (
 )
 
 
+def _dest(flag: str, kwargs: dict) -> str:
+    return kwargs.get("dest") or flag[2:].replace("-", "_")
+
+
+def _plain_args(argv: list[str]):
+    """The namespace ``build_parser().parse_args(argv)`` returns, with the
+    same attributes in the same order, when ``argv`` is a verb followed
+    only by that verb's flags, each written out in full, with every value
+    (``--flag value`` or ``--flag=value``) not starting with '-'.  None for
+    any other command line, and for every one argparse rejects."""
+    verb = next((v for v in _VERBS if argv and v[0] == argv[0]), None)
+    if verb is None:
+        return None
+    name, _help, func, arguments = verb
+    options = dict(arguments)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        dest, action = _dest(flag, kwargs), kwargs.get("action")
+        if action == "store_true":
+            if eq:
+                return None
+            given[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[dest] = given.get(dest, []) + [value] if action == "append" else value
+    ns = types.SimpleNamespace(verb=name)
+    for flag, kwargs in arguments:
+        dest = _dest(flag, kwargs)
+        if dest in given:
+            setattr(ns, dest, given[dest])
+        elif kwargs.get("required"):
+            return None
+        else:
+            store_true = kwargs.get("action") == "store_true"
+            setattr(ns, dest, kwargs.get("default", False if store_true else None))
+    ns.func = func
+    return ns
+
+
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The ``stmod`` parser.  When ``verb`` names a verb, only its
     subparser is built; the top-level usage still lists every verb."""
+    import argparse
+
     verbs = [v for v in _VERBS if v[0] == verb] or _VERBS
     ap = argparse.ArgumentParser(
         prog="stmod",
@@ -432,7 +499,9 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

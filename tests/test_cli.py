@@ -1,6 +1,8 @@
 """The stmod command: verbs, exit codes, output formats."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from stmod import cli
 
@@ -407,6 +410,123 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("s,t,dim")
 
 
+# a valid command line for every verb that takes --out
+_OUT_COMMANDS = {
+    "define": ["--fixture", "Joker"],
+    "tensor": ["--fixture", "Joker", "--with", "Joker"],
+    "dual": ["--fixture", "Joker"],
+    "suspend": ["--fixture", "Joker", "--by", "1"],
+    "loop": ["--fixture", "Joker"],
+    "quotient": ["--algebra", "A(1)", "--kill", "Sq^3"],
+    "induce": ["--fixture", "A1modP11", "--algebra", "A(1)", "--sub", "P11"],
+    "restrict": ["--fixture", "A1modP11", "--sub", "P11"],
+    "double": ["--fixture", "A1"],
+    "ext": ["--fixture", "F2", "--smax", "2", "--tmax", "4"],
+    "extgroups": ["--fixture", "A1", "--coeff", "F2", "--smax", "1", "--tmax", "3"],
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("verb", [name for name, _h, _f, arguments in cli._VERBS
+                                  if "--out" in dict(arguments)])
+def test_out_to_unwritable_path_is_a_located_error(tmp_path, capsys, verb, where):
+    target = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "x.out"
+    with pytest.raises(OSError) as opened:
+        open(target, "w")
+    code, out, err = run(capsys, verb, *_OUT_COMMANDS[verb], "--out", str(target))
+    assert (code, out, err) == (1, "", f"error: --out: {opened.value}\n")
+
+
+def _argparse_args(argv):
+    """``list(vars(namespace).items())`` of what argparse makes of argv, or
+    None when it exits (help or a usage error)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            ns = cli.build_parser(argv[0] if argv else None).parse_args(argv)
+    except SystemExit:
+        return None
+    return list(vars(ns).items())
+
+
+def test_verb_table_uses_only_what_the_plain_reader_reads():
+    """A new add_argument keyword, action or type fails here instead of
+    making ``_plain_args`` silently disagree with argparse."""
+    for _name, _help, _func, arguments in cli._VERBS:
+        for flag, kwargs in arguments:
+            assert flag.startswith("--") and flag[2:3].isalpha() and "=" not in flag
+            assert set(kwargs) <= {"help", "action", "type", "default", "choices",
+                                   "required", "dest"}
+            assert kwargs.get("action") in (None, "store_true", "append")
+            assert kwargs.get("type") in (None, int)
+            # argparse would run a string default through ``type``
+            assert not ("type" in kwargs and isinstance(kwargs.get("default"), str))
+
+
+_VERB_NAMES = [name for name, *_ in cli._VERBS]
+_ALL_FLAGS = sorted({flag for *_, arguments in cli._VERBS for flag, _ in arguments})
+_ODD_TOKENS = ["-h", "--help", "--", "-", "--bogus", "--fix", "--s", "--with_fixture",
+               "Joker", ""]
+_VALUES = ["Joker", "F2", "A1modP11", "A(1)", "Sq^3", "P11", "G2", "bott", "csv",
+           "svg", "ascii", "0", "3", "+1", " 4", "1_0", "x", "", "-", "--", "-2",
+           "-x", "a=b", "--fixture"]
+
+
+def _value(kwargs):
+    if kwargs.get("type") is int:
+        return hst.integers(-3, 30).map(str) | hst.sampled_from(_VALUES)
+    if "choices" in kwargs:
+        return hst.sampled_from(list(kwargs["choices"])) | hst.sampled_from(_VALUES)
+    return hst.sampled_from(_VALUES) | hst.text(max_size=3)
+
+
+@hst.composite
+def command_lines(draw):
+    """A verb and a list of tokens: mostly its own flags with plausible
+    values, spelled ``--flag value`` or ``--flag=value``, some repeated or
+    left out, with junk flags, values and verbs mixed in."""
+    verb = draw(hst.sampled_from(_VERB_NAMES * 4 + ["no-such-verb", "ex", "-h", ""]))
+    own = [arg for v in cli._VERBS if v[0] == verb for arg in v[3]]
+    argv = [verb]
+    for flag, kwargs in draw(hst.lists(hst.sampled_from(own), max_size=6)) if own else []:
+        form = draw(hst.sampled_from(["separate", "separate", "equals", "bare"]))
+        if kwargs.get("action") == "store_true" or form == "bare":
+            argv.append(flag)
+        elif form == "equals":
+            argv.append(f"{flag}={draw(_value(kwargs))}")
+        else:
+            argv += [flag, draw(_value(kwargs))]
+    for _ in range(draw(hst.sampled_from([0, 0, 0, 1, 2]))):
+        token = draw(hst.sampled_from(_ODD_TOKENS + _ALL_FLAGS + _VALUES))
+        argv.insert(draw(hst.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=400)
+@given(command_lines())
+@example(["quotient", "--algebra", "A(1)", "--kill", "Sq^3", "--suspend", "-2"])
+@example(["quotient", "--algebra", "A(1)", "--kill", "Sq^3", "--suspend=-2"])
+@example(["ext", "--fixture", "F2", "--format=csv", "--format", "svg"])
+@example(["quotient", "--algebra=A(1)", "--kill", "Sq^3", "--kill=Sq^2"])
+@example(["fixtures", "--verify", "--verify", "--json"])
+@example(["validate", "--json=1"])
+@example(["ext", "--fixture", "F2", "--", "--smax", "2"])
+@example(["ext", "--fix", "F2"])
+@example(["ext", "--fixture", ""])
+@example(["ext", "--fixture="])
+@example(["ext", "--fixture", "F2", "-h"])
+@example(["suspend", "--fixture", "Joker"])
+@example(["ext", "--smax", " 3"])
+@example([])
+def test_plain_args_agree_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    full = _argparse_args(argv)
+    if plain is not None:
+        assert list(vars(plain).items()) == full
+    if full is None:
+        assert plain is None
+
+
 def readme_examples():
     """(argv, expected first output line or None) for each ``stmod`` line
     of the sh block under "The command line" in README.md.  A piped line
@@ -433,3 +553,27 @@ def test_readme_examples_run(capsys, argv, expected):
     if expected is not None:
         pattern = ".*".join(re.escape(part) for part in expected.split("..."))
         assert re.fullmatch(pattern, out.splitlines()[0])
+
+
+def test_readme_command_lines_take_the_plain_reader():
+    """Every README command line but the one with a dash-led value skips
+    argparse, and reads as argparse reads it."""
+    for param in readme_examples():
+        argv = param.values[0]
+        plain = cli._plain_args(argv)
+        if "-2" in argv:
+            assert plain is None
+        else:
+            assert list(vars(plain).items()) == _argparse_args(argv)
+
+
+def test_plain_command_line_loads_no_argparse():
+    # -S keeps site-packages .pth files from preloading modules
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from stmod import cli; cli.main(['fixtures']); "
+            "print(' '.join(sys.modules), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("A0 ")
+    assert not set(done.stderr.split()) & {"argparse", "gettext", "locale"}
