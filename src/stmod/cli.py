@@ -6,12 +6,13 @@ stdout (or --out), and exits 0 on success, 1 on a domain error or when
 the reader closes stdout early, 2 on a usage error.
 
 The verbs and their flags are declared once, in ``_VERBS``.  A plain
-command line (a verb, then only that verb's flags, each spelled out in full
-with a value that does not start with '-') is read straight from that table
-by ``_plain_args``.  Anything else (help, abbreviated flags, '--', dash-led
-values, every usage error) goes to argparse, which alone builds help text
-and usage errors; argparse is imported only then, and only the invoked
-verb's parser is built.
+command line (a verb, then only that verb's flags, each spelled out in full,
+as ``--flag=value`` or as ``--flag value`` with a value that does not start
+with '-') is read straight from that table by ``_plain_args``.  Anything
+else (help, abbreviated flags, '--', a separate dash-led value, every usage
+error) goes to argparse, which alone builds help text and usage errors;
+argparse is imported only then, and only the invoked verb's parser is
+built.
 """
 
 from __future__ import annotations
@@ -428,9 +429,9 @@ def _dest(flag: str, kwargs: dict) -> str:
 def _plain_args(argv: list[str]):
     """The namespace ``build_parser().parse_args(argv)`` returns, with the
     same attributes in the same order, when ``argv`` is a verb followed
-    only by that verb's flags, each written out in full, with every value
-    (``--flag value`` or ``--flag=value``) not starting with '-'.  None for
-    any other command line, and for every one argparse rejects."""
+    only by that verb's flags, each written out in full, as ``--flag=value``
+    or as ``--flag value`` with a value not starting with '-'.  None for any
+    other command line, and for every one argparse rejects."""
     verb = next((v for v in _VERBS if argv and v[0] == argv[0]), None)
     if verb is None:
         return None
@@ -451,9 +452,10 @@ def _plain_args(argv: list[str]):
             continue
         if not eq:
             value = next(tokens, None)
-            if value is None:
+            if value is None or value.startswith("-"):
                 return None
-        if value.startswith("-"):
+        elif value == "--":
+            # argparse 3.11 reads an attached '--' as no value at all
             return None
         if "type" in kwargs:
             try:

@@ -88,6 +88,7 @@ def generate_positive_roots(family: str, rank: int) -> RootSystem:
     value for the type."""
     cartan = cartan_matrix(family, rank)
     n = rank
+    columns = tuple(zip(*cartan))
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     known = set(simple)
     by_height = {1: list(simple)}
@@ -97,16 +98,15 @@ def generate_positive_roots(family: str, rank: int) -> RootSystem:
         for beta in by_height[height]:
             for i in range(n):
                 # <beta, alpha_i^v> = sum_k beta_k * cartan[k][i]
-                pairing = sum(beta[k] * cartan[k][i] for k in range(n))
+                pairing = sum(b * c for b, c in zip(beta, columns[i]))
+                # beta - alpha_i and beta + alpha_i differ from beta only at i
+                head, bi, tail = beta[:i], beta[i], beta[i + 1:]
                 p = 0
-                while True:
-                    back = tuple(beta[k] - (p + 1) * simple[i][k] for k in range(n))
-                    if min(back) < 0 or back not in known:
-                        break
+                while bi > p and head + (bi - p - 1,) + tail in known:
                     p += 1
                 q = p - pairing
                 if q >= 1:
-                    fwd = tuple(beta[k] + simple[i][k] for k in range(n))
+                    fwd = head + (bi + 1,) + tail
                     if fwd not in known:
                         known.add(fwd)
                         nxt.append(fwd)

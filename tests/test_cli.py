@@ -506,6 +506,9 @@ def command_lines(draw):
 @given(command_lines())
 @example(["quotient", "--algebra", "A(1)", "--kill", "Sq^3", "--suspend", "-2"])
 @example(["quotient", "--algebra", "A(1)", "--kill", "Sq^3", "--suspend=-2"])
+@example(["quotient", "--algebra=A(1)", "--kill=-x", "--suspend=-4"])
+@example(["ext", "--fixture=--", "--smax=-1"])
+@example(["ext", "--fixture=--smax", "--out=-"])
 @example(["ext", "--fixture", "F2", "--format=csv", "--format", "svg"])
 @example(["quotient", "--algebra=A(1)", "--kill", "Sq^3", "--kill=Sq^2"])
 @example(["fixtures", "--verify", "--verify", "--json"])
@@ -525,6 +528,16 @@ def test_plain_args_agree_with_argparse(argv):
         assert list(vars(plain).items()) == full
     if full is None:
         assert plain is None
+
+
+def test_attached_dash_led_values_take_the_plain_reader():
+    """A negative ``--suspend=-2`` costs no argparse; a separate ``-2`` and
+    an attached '--' still go to argparse."""
+    argv = ["quotient", "--algebra=A(1)", "--kill", "Sq^3", "--suspend=-2"]
+    assert list(vars(cli._plain_args(argv)).items()) == _argparse_args(argv)
+    assert cli._plain_args(["quotient", "--algebra=A(1)", "--kill", "Sq^3",
+                            "--suspend", "-2"]) is None
+    assert cli._plain_args(["ext", "--fixture=--"]) is None
 
 
 def readme_examples():
