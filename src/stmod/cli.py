@@ -44,9 +44,11 @@ def _nonnegative(args, attr: str) -> int:
     return value
 
 
-def _load(args, attr_fixture="fixture", attr_file="file") -> md.GradedModule:
-    fx = getattr(args, attr_fixture, None)
-    fp = getattr(args, attr_file, None)
+def _load(args) -> md.GradedModule:
+    fx = getattr(args, "fixture", None)
+    fp = getattr(args, "file", None)
+    if fx and fp:
+        raise DomainError("give either --fixture or --file, not both")
     if fx:
         return _fixture(fx)
     if fp:

@@ -15,7 +15,7 @@ from . import modfile, steenrod
 from .f2linalg import F2Matrix
 from .module import (GradedModule, ModuleMap, aug_ideal_module, dual,
                      hopf_quotient, quotient_by_left_ideal, regular_module,
-                     suspend, trivial_module, validate)
+                     suspend, trivial_module, validate, zero_module)
 from .stable import check_exact, reduce_module, selfdual_shift
 from .steenrod import milnor_primitive, parse_element, sq
 
@@ -189,61 +189,39 @@ def fixture_description(name: str) -> str:
 # Named exact sequences
 
 
+def _cyclic_chain(terms, words: list[str]) -> list[ModuleMap]:
+    """The maps terms[i+1] -> terms[i] between cyclic A(1)-modules, each
+    given as (module, generator degree), that send the source's generator
+    to words[i] times the target's."""
+    return [ModuleMap.from_cyclic(src, tgt, tgt.element_op(parse_element(w, 1), g)[0], h)
+            for (tgt, g), (src, h), w in zip(terms, terms[1:], words)]
+
+
 def bott_sequence() -> list[ModuleMap]:
     """The six-term extension of the trivial module whose class generates
     the (4,12) periodicity slot: F2 <- HZ <- A(1)[2] <- A(1)[4] <- HZ[7]
     <- F2[12] <- 0, maps forced by minimal-generator degrees."""
     A1 = steenrod.A(1)
-    A0in1 = steenrod.A(0, 1)
-    HZ = hopf_quotient(A1, A0in1)
+    HZ = hopf_quotient(A1, steenrod.A(0, 1))
     F2 = trivial_module(A1)
     reg = regular_module(A1)
-
-    f1 = ModuleMap.from_cyclic(HZ, F2, 1, 0)
-    f2 = ModuleMap.from_cyclic(suspend(reg, 2), HZ,
-                               _rep_vector(HZ, parse_element("Sq^2", 1), 2), 2)
-    f3 = ModuleMap.from_cyclic(suspend(reg, 4), suspend(reg, 2),
-                               _rep_vector(suspend(reg, 2), parse_element("Sq^2", 1), 4), 4)
-    f4 = ModuleMap.from_cyclic(suspend(HZ, 7), suspend(reg, 4),
-                               _rep_vector(suspend(reg, 4), parse_element("Sq^3", 1), 7), 7)
-    f5 = ModuleMap.from_cyclic(suspend(F2, 12), suspend(HZ, 7),
-                               _rep_vector(suspend(HZ, 7), parse_element("Sq(2,1)", 1), 12), 12)
-    return [f1, f2, f3, f4, f5]
+    terms = [(F2, 0), (HZ, 0), (suspend(reg, 2), 2), (suspend(reg, 4), 4),
+             (suspend(HZ, 7), 7), (suspend(F2, 12), 12)]
+    return _cyclic_chain(terms, ["1", "Sq^2", "Sq^2", "Sq^3", "Sq(2,1)"])
 
 
 def p11_periodic_sequence() -> list[ModuleMap]:
     """Three stages of the periodic resolution of A(1)//F2(P(1,1)) by rank
     one free modules, differentials given by the central primitive."""
     A1 = steenrod.A(1)
-    M = hopf_quotient(A1, algebra_P11())
     reg = regular_module(A1)
-    q1 = milnor_primitive(1, 1)
-
-    f0 = ModuleMap.from_cyclic(reg, M, 1, 0)
-    f1 = ModuleMap.from_cyclic(suspend(reg, 3), reg,
-                               _rep_vector(reg, q1, 3), 3)
-    f2 = ModuleMap.from_cyclic(suspend(reg, 6), suspend(reg, 3),
-                               _rep_vector(suspend(reg, 3), q1, 6), 6)
-    return [f0, f1, f2]
-
-
-def _rep_vector(target: GradedModule, elt, degree: int) -> int:
-    """Coordinates of an algebra element over a module's stored coset
-    representatives (regular modules and cyclic quotients record these)."""
-    alg = target.algebra
-    reps = target.meta["reps"][degree]
-    v = 0
-    for i in alg.decompose(elt):
-        b = alg.basis[i]
-        pos = next(k for k, r in enumerate(reps) if r.terms == b.terms)
-        v |= 1 << pos
-    return v
+    terms = [(hopf_quotient(A1, algebra_P11()), 0), (reg, 0),
+             (suspend(reg, 3), 3), (suspend(reg, 6), 6)]
+    return _cyclic_chain(terms, ["1", "P(1,1)", "P(1,1)"])
 
 
 def pad_with_zero_ends(maps: list[ModuleMap]) -> list[ModuleMap]:
     """Wrap a chain in zero modules so every original term is interior."""
     alg = maps[0].target.algebra
-    z_left = GradedModule(alg, {}, {}, meta={"name": "0"})
-    z_right = GradedModule(alg, {}, {}, meta={"name": "0"})
-    return ([ModuleMap.zero(maps[0].target, z_left)] + maps
-            + [ModuleMap.zero(z_right, maps[-1].source)])
+    return ([ModuleMap.zero(maps[0].target, zero_module(alg))] + maps
+            + [ModuleMap.zero(zero_module(alg), maps[-1].source)])

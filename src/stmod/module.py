@@ -242,18 +242,31 @@ class ModuleMap:
                     image: int, image_degree: int) -> "ModuleMap":
         """Map out of a cyclic module, determined by the generator's image.
 
-        The source must carry coset representatives (meta['reps']); the slot
-        with representative r is sent to r * image.
+        The source must be one-dimensional in image_degree, spanned by x, and
+        generated by x, which is read off the source's own action: each basis
+        vector is written as a sum of b.x over algebra basis elements b and
+        sent to the sum of the b.image.  Raises ValueError when x does not
+        generate the source, or when the result is not equivariant.
         """
-        reps = source.meta.get("reps")
-        gen_degree = source.meta.get("cyclic_degree")
-        if reps is None or gen_degree is None:
-            raise ValueError("source module does not carry coset representatives")
-        if image_degree != gen_degree:
-            raise ValueError("image degree must match the cyclic generator degree")
+        if source.dim(image_degree) != 1:
+            raise ValueError(f"source is not one-dimensional in degree {image_degree}")
+        alg = source.algebra
         mats = {}
         for d in source.degrees():
-            cols = [apply_cols(target.element_op(r, image_degree), image) for r in reps[d]]
+            ids = alg.basis_by_degree(d - image_degree)
+            span = F2Span()
+            for r, b in enumerate(ids):
+                span.add(source.basis_op(b, image_degree)[0], 1 << r)
+            cols = []
+            for j, label in enumerate(source.labels[d]):
+                residual, combo = span.reduce(1 << j)
+                if residual:
+                    raise ValueError(f"source is not generated in degree {image_degree}: "
+                                     f"{label} (degree {d}) is not a multiple of it")
+                col = 0
+                for r in vec_support(combo):
+                    col ^= apply_cols(target.basis_op(ids[r], image_degree), image)
+                cols.append(col)
             mats[d] = F2Matrix.from_cols(cols, target.dim(d))
         return ModuleMap(source, target, mats)
 
@@ -337,24 +350,18 @@ def zero_module(alg: SubHopfAlgebra) -> GradedModule:
 
 def trivial_module(alg: SubHopfAlgebra, name: str = "F2") -> GradedModule:
     """The one-dimensional trivial module concentrated in degree 0."""
-    return GradedModule(alg, {0: ("u",)}, {}, meta={
-        "name": name,
-        "reps": {0: (steenrod.unit(alg.ambient),)},
-        "cyclic_degree": 0,
-    })
+    return GradedModule(alg, {0: ("u",)}, {}, meta={"name": name})
 
 
 def regular_module(alg: SubHopfAlgebra) -> GradedModule:
     """The algebra as a left module over itself: generator g acts on the
     degree-d basis through the left products g.b."""
     labels = {d: tuple(f"b{i}" for i in alg.basis_by_degree(d)) for d in alg.degrees}
-    reps = {d: tuple(alg.basis[i] for i in alg.basis_by_degree(d)) for d in alg.degrees}
     actions = {gi: {d: F2Matrix.from_cols([alg.left(gi, bi) for bi in alg.basis_by_degree(d)],
                                           alg.basis_dim(d + g))
                     for d in alg.degrees}
                for gi, g in enumerate(alg.gen_degrees)}
-    return GradedModule(alg, labels, actions,
-                        meta={"name": alg.name, "reps": reps, "cyclic_degree": 0})
+    return GradedModule(alg, labels, actions, meta={"name": alg.name})
 
 
 def aug_ideal_module(alg: SubHopfAlgebra) -> GradedModule:
@@ -363,9 +370,7 @@ def aug_ideal_module(alg: SubHopfAlgebra) -> GradedModule:
     labels = {d: ls for d, ls in reg.labels.items() if d > 0}
     actions = {gi: {d: m for d, m in per.items() if d > 0}
                for gi, per in reg.actions.items()}
-    reps = {d: r for d, r in reg.meta["reps"].items() if d > 0}
-    return GradedModule(alg, labels, actions,
-                        meta={"name": f"I({alg.name})", "reps": reps})
+    return GradedModule(alg, labels, actions, meta={"name": f"I({alg.name})"})
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +385,6 @@ def suspend(m: GradedModule, k: int) -> GradedModule:
     actions = {gi: {d + k: mat for d, mat in per.items()}
                for gi, per in m.actions.items()}
     meta = dict(m.meta)
-    if "reps" in meta:
-        meta["reps"] = {d + k: r for d, r in meta["reps"].items()}
-    if "cyclic_degree" in meta:
-        meta["cyclic_degree"] = meta["cyclic_degree"] + k
     if "name" in meta:
         meta["name"] = f"{meta['name']}[{k}]"
     return GradedModule(m.algebra, labels, actions, meta=meta)
@@ -570,11 +571,8 @@ def quotient_by_left_ideal(alg: SubHopfAlgebra, gens) -> GradedModule:
                           for b, db in zip(alg.basis, alg.basis_degrees)
                           if db + dx <= alg.top_degree]
     gen_names = ", ".join(str(x) for x in gens)
-    q, kept = _free_quotient(alg, trivial_module(alg), relations,
-                             name=f"{alg.name}/({gen_names})", label_prefix="q")
-    q.meta["reps"] = {d: tuple(alg.basis[a] for a, _, _ in ks) for d, ks in kept.items()}
-    q.meta["cyclic_degree"] = 0
-    return q
+    return _free_quotient(alg, trivial_module(alg), relations,
+                          name=f"{alg.name}/({gen_names})", label_prefix="q")[0]
 
 
 def hopf_quotient(h: SubHopfAlgebra, k: SubHopfAlgebra) -> GradedModule:

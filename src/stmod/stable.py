@@ -281,8 +281,12 @@ def _candidates(sols: list[int], budget: int, seed: int):
             yield v
 
 
-def iso_test(m: GradedModule, n: GradedModule, *,
-             budget: int = 40000, seed: int = 2024) -> ModuleMap | None:
+#: iso_test's probing: how many masks it may try, and the seed that draws them
+ISO_BUDGET = 40000
+ISO_SEED = 2024
+
+
+def iso_test(m: GradedModule, n: GradedModule) -> ModuleMap | None:
     """Search for an isomorphism m -> n.
 
     Cheap invariants (graded dimensions, Margolis homology, free ranks)
@@ -291,9 +295,9 @@ def iso_test(m: GradedModule, n: GradedModule, *,
     the xor of some of them, invertible when each degree's block has
     independent rows, and only the winner is unpacked into a verified
     ModuleMap.  Single solutions come first.  When all 2^h - 1 masks fit
-    in ``budget`` they are swept in ascending order, and finding none is
-    a certified negative (None).  Otherwise ``budget`` masks are drawn by
-    Random(seed).getrandbits(h); if none is invertible the search raises
+    in ``ISO_BUDGET`` they are swept in ascending order, and finding none
+    is a certified negative (None).  Otherwise ``ISO_BUDGET`` masks are
+    drawn by Random(ISO_SEED).getrandbits(h); if none is invertible it raises
     InconclusiveIsomorphism rather than guess.  SO8modSp2's self-duality
     (h = 22) is decided by this seeded probing, after 2,266 candidates.
 
@@ -325,10 +329,10 @@ def iso_test(m: GradedModule, n: GradedModule, *,
     if h == 0:
         return None
     invertible = _invertibility_test(blocks)
-    for v in _candidates(sols, budget, seed):
+    for v in _candidates(sols, ISO_BUDGET, ISO_SEED):
         if invertible(v):
             return ModuleMap(m, n, _unpack(v, blocks))
-    if (1 << h) - 1 <= budget:
+    if (1 << h) - 1 <= ISO_BUDGET:
         return None
     raise InconclusiveIsomorphism(
         f"no isomorphism found within budget (hom space dimension {h})")

@@ -328,11 +328,6 @@ def milnor_primitive(s: int, ambient: int) -> SteenrodElt:
     return SteenrodElt(ambient, frozenset({(0,) * s + (1,)}))
 
 
-def milnor_product(a: SteenrodElt, b: SteenrodElt) -> SteenrodElt:
-    """Product in the Milnor basis (the matrix-enumeration rule)."""
-    return a * b
-
-
 def coproduct(e: SteenrodElt) -> list[tuple[SteenrodElt, SteenrodElt]]:
     """The full coproduct as a list of tensor pairs (mod-2 collapsed)."""
     acc: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -816,14 +811,6 @@ def wall_relations(n: int) -> tuple[WallRelation, ...]:
             words = frozenset(lead) ^ _express_in_lower(value, r - 1, n)
             rels.append(WallRelation(n, words, _relation_label(words)))
     return tuple(rels)
-
-
-def double_pushforward(k: int) -> int | None:
-    """The grade-halving rule on generators: Sq^k -> Sq^{k/2} for even k,
-    and 0 (encoded as None) for odd k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return k // 2 if k % 2 == 0 else None
 
 
 # ---------------------------------------------------------------------------

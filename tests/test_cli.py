@@ -315,6 +315,17 @@ def test_unknown_fixture_domain_error(capsys):
     assert "no fixture named" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--fixture", "Joker", "--file", "/nonexistent"),
+    ("validate", "--file=/nonexistent", "--fixture=Joker"),
+    ("dual", "--fixture", "Joker", "--file", "/nonexistent"),
+])
+def test_fixture_and_file_together_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: give either --fixture or --file, not both\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("extgroups", "--fixture", "A1", "--coeff", "Nope"),
      "--coeff: no fixture named 'Nope'"),

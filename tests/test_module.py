@@ -10,6 +10,7 @@ from stmod.module import (GradedModule, ModuleMap, direct_sum, double, dual,
                           hopf_quotient, induce, margolis_homology,
                           quotient_by_left_ideal, regular_module, restrict,
                           suspend, tensor, trivial_module, validate)
+from stmod.resolve import ext_chart
 from stmod.stable import iso_test
 from stmod.steenrod import milnor_primitive, sq
 from word_action import expression_columns
@@ -395,8 +396,7 @@ def _ref_quotient(alg, slots, relations, image, name, prefix):
                     v = spans[d2].reduce(vec(d2, keys))[0]
                     cols.append(sum(1 << p for p, jj in enumerate(kept[d2]) if (v >> jj) & 1))
                 actions.setdefault(gi, {})[d] = F2Matrix.from_cols(cols, len(kept[d + g]))
-    kept_keys = {d: [slots[d][j] for j in js] for d, js in kept.items() if js}
-    return GradedModule(alg, labels, actions, meta={"name": name}), kept_keys
+    return GradedModule(alg, labels, actions, meta={"name": name})
 
 
 def _ref_products(alg, x, y):
@@ -414,20 +414,15 @@ def _ref_regular(alg):
             cols = [sum(1 << pos[i] for i in _ref_products(alg, g, alg.basis[bi])[1])
                     for bi in alg.basis_by_degree(d)]
             actions.setdefault(gi, {})[d] = F2Matrix.from_cols(cols, len(pos))
-    reps = {d: tuple(alg.basis[i] for i in alg.basis_by_degree(d)) for d in alg.degrees}
-    return GradedModule(alg, labels, actions,
-                        meta={"name": alg.name, "reps": reps, "cyclic_degree": 0})
+    return GradedModule(alg, labels, actions, meta={"name": alg.name})
 
 
 def _ref_kill(alg, gens, name):
     slots = {d: list(alg.basis_by_degree(d)) for d in alg.degrees}
     relations = [_ref_products(alg, b, x) for x in gens for b in alg.basis]
-    q, kept = _ref_quotient(alg, slots, relations,
-                            lambda gi, bi: _ref_products(alg, alg.generators[gi], alg.basis[bi]),
-                            name, "q")
-    q.meta["reps"] = {d: tuple(alg.basis[bi] for bi in keys) for d, keys in kept.items()}
-    q.meta["cyclic_degree"] = 0
-    return q
+    return _ref_quotient(alg, slots, relations,
+                         lambda gi, bi: _ref_products(alg, alg.generators[gi], alg.basis[bi]),
+                         name, "q")
 
 
 def _ref_hopf(h, k):
@@ -462,7 +457,7 @@ def _ref_induce(a, b, m):
         return d + dv, tensor_keys(gx, dv, 1 << iv)
 
     name = f"{a.name}(x)_{b.name} {m.meta.get('name', '?')}"
-    return _ref_quotient(a, slots, relations, image, name, "i")[0]
+    return _ref_quotient(a, slots, relations, image, name, "i")
 
 
 def _same(built, ref):
@@ -587,14 +582,45 @@ def test_module_map_equivariance_enforced(hz, f2_a1):
 
 
 def test_cyclic_map_construction(A1, f2_a1):
-    # file-loaded fixtures carry no coset representatives; built quotients do
+    # the source is read off its own action, so a file-loaded HZ gives the
+    # map the built one does
     hz = hopf_quotient(A1, st.A(0, 1))
     f = ModuleMap.from_cyclic(hz, f2_a1, 1, 0)
     assert not f.is_zero()
     assert f.mat(0).entry(0, 0) == 1
-    loaded = fixtures.load_fixture("HZ")
-    with pytest.raises(ValueError):
-        ModuleMap.from_cyclic(loaded, f2_a1, 1, 0)
+    loaded = ModuleMap.from_cyclic(fixtures.load_fixture("HZ"), f2_a1, 1, 0)
+    assert loaded.mats == f.mats
+    # SO8modSp2 is one-dimensional in degree 0 but not generated there
+    with pytest.raises(ValueError, match="u1 \\(degree 1\\) is not a multiple"):
+        ModuleMap.from_cyclic(fixtures.load_fixture("SO8modSp2"), f2_a1, 1, 0)
+
+
+def test_cyclic_map_refuses_a_source_without_a_single_generator(A1, f2_a1):
+    reg = regular_module(A1)
+    with pytest.raises(ValueError, match="not one-dimensional in degree 3"):
+        ModuleMap.from_cyclic(reg, suspend(f2_a1, 3), 1, 3)
+    with pytest.raises(ValueError, match="not one-dimensional in degree 1"):
+        ModuleMap.from_cyclic(f2_a1, f2_a1, 1, 1)
+    # F2 -> HZ on the generator is well defined as a linear map but not
+    # equivariant: Sq^2 kills the source's generator and not its image
+    with pytest.raises(ValueError, match="does not commute"):
+        ModuleMap.from_cyclic(f2_a1, hopf_quotient(A1, st.A(0, 1)), 1, 0)
+
+
+@pytest.mark.parametrize("name", fixtures.fixture_names())
+def test_cyclic_fixtures_map_onto_themselves_by_the_identity(name):
+    # a module is cyclic iff Ext^0(M, F2), the minimal generators, is one
+    # class, found here by the resolver; its identity is then the map that
+    # fixes the bottom class, and every other fixture is refused
+    m = fixtures.load_fixture(name)
+    bottom = min(m.degrees())
+    chart = ext_chart(m, 0, max(m.degrees()))
+    if sum(chart.get(0, t) for t in m.degrees()) == 1:
+        f = ModuleMap.from_cyclic(m, m, 1, bottom)
+        assert f.mats == ModuleMap.identity(m).mats
+    else:
+        with pytest.raises(ValueError, match="not one-dimensional|not a multiple"):
+            ModuleMap.from_cyclic(m, m, 1, bottom)
 
 
 def test_validate_catches_square_of_primitive_beyond_top_degree():

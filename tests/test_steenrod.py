@@ -12,7 +12,7 @@ from hypothesis import given, strategies as hst
 from stmod import fixtures, steenrod as st
 from stmod.f2linalg import F2Span, vec_support
 from stmod.steenrod import (Sq, antipode, coproduct, milnor_primitive,
-                            milnor_product, parse_element, sq, unit, zero)
+                            parse_element, sq, unit, zero)
 
 
 def terms(e):
@@ -652,12 +652,6 @@ def test_wall_relations_evaluate_to_zero():
             assert rel.element().is_zero(), rel.label
 
 
-def test_double_pushforward_rule():
-    assert st.double_pushforward(2) == 1
-    assert st.double_pushforward(3) is None
-    assert st.double_pushforward(4) == 2
-
-
 # ---------------------------------------------------------------------------
 # parsing / printing
 
@@ -706,10 +700,6 @@ def test_parse_element_milnor_entries_are_single_integers():
 def test_str_round_trip():
     e = sq(3, 1) + milnor_primitive(1, 1)
     assert parse_element(str(e), 1).terms == e.terms
-
-
-def test_milnor_product_alias():
-    assert milnor_product(sq(2, 1), sq(2, 1)).terms == {(1, 1)}
 
 
 def test_max_ambient_guard():
