@@ -478,14 +478,6 @@ def direct_sum(m: GradedModule, n: GradedModule) -> GradedModule:
     return GradedModule(m.algebra, labels, actions, meta={"name": name})
 
 
-def _packed(alg: SubHopfAlgebra, e: SteenrodElt) -> int:
-    """e over the basis of its degree, packed as ``SubHopfAlgebra.left`` is."""
-    vec = 0
-    for i in alg.decompose(e):
-        vec |= 1 << alg.degree_position[i]
-    return vec
-
-
 def _free_quotient(alg: SubHopfAlgebra, v: GradedModule, relations,
                    name: str, label_prefix: str):
     """(alg (x) V) / relations as a left alg-module, V a graded space given
@@ -567,7 +559,7 @@ def quotient_by_left_ideal(alg: SubHopfAlgebra, gens) -> GradedModule:
             raise ValueError(f"ideal generator {x} is not homogeneous")
         if not x.is_zero():
             dx = x.degree()
-            relations += [((db + dx, _packed(alg, b * x), 0, 1),)
+            relations += [((db + dx, alg.packed(b * x, db + dx), 0, 1),)
                           for b, db in zip(alg.basis, alg.basis_degrees)
                           if db + dx <= alg.top_degree]
     gen_names = ", ".join(str(x) for x in gens)
@@ -608,7 +600,7 @@ def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModul
     for ai, (x, dx) in enumerate(zip(a.basis, a.basis_degrees)):
         unit_x = 1 << a.degree_position[ai]
         for yi, (y, dy) in enumerate(zip(b.generators, b.gen_degrees)):
-            xy = _packed(a, x * y) if dx + dy <= a.top_degree else 0
+            xy = a.packed(x * y, dx + dy) if dx + dy <= a.top_degree else 0
             for dv in m.degrees():
                 for iv, yv in enumerate(m.columns(yi, dv)):
                     relations.append(((dx + dy, xy, dv, 1 << iv), (dx, unit_x, dv + dy, yv)))

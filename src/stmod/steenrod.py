@@ -6,18 +6,22 @@ the truncated polynomial dual; the profile constraint is ``r_i < 2^(n+2-i)``
 with ``r_i = 0`` for ``i > n+1``.  On top of the raw arithmetic (product,
 coproduct, antipode) this module builds finite subalgebras by closing a
 generator set multiplicatively, recording how each basis element is spelled
-as a sum of generator words.  Modules are specified by generator actions
-alone: every basis element acts through its left decomposition
-b = sum_k g_k.c_k over the generators, read off the left products g_k.b_j,
-while the word expressions are what the Wall relations are written in.
+as a sum of generator words, and keeps one echelon span per degree.  By
+associativity the closure's right-multiplication columns give every left
+product g_k.b_j, with no further Milnor product.  Modules are specified by
+generator actions alone: every basis element acts through its left
+decomposition b = sum_k g_k.c_k over the generators, read off the left
+products, while the word expressions are what the Wall relations are
+written in.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from functools import cached_property, lru_cache
 
-from .f2linalg import F2Span, vec_support
+from .f2linalg import F2Span, apply_cols, vec_support
 from .value import Value
 
 #: Largest n for which the A(n) presets are enabled.  The instances here are
@@ -89,8 +93,14 @@ def milnor_basis(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _basis_index(n: int) -> dict[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(milnor_basis(n))}
+def _graded_basis(n: int) -> tuple[dict[int, list], dict[tuple[int, ...], tuple[int, int]]]:
+    """A(n)'s Milnor basis by degree, {degree: terms in basis order}, and
+    each term's place in it, {term: (degree, 1 << index in its degree)}:
+    an element of one degree packs into a vector over that degree's terms."""
+    terms: dict[int, list[tuple[int, ...]]] = {}
+    for t in milnor_basis(n):
+        terms.setdefault(milnor_degree(t), []).append(t)
+    return terms, {t: (d, 1 << r) for d, ts in terms.items() for r, t in enumerate(ts)}
 
 
 def _in_basis(terms, n: int) -> bool:
@@ -98,7 +108,7 @@ def _in_basis(terms, n: int) -> bool:
     the cached index when 0 <= n <= MAX_AMBIENT.  The basis is exactly the
     normalised tuples that fit the profile; False (beyond MAX_AMBIENT, or
     on a miss) leaves the caller to check term by term."""
-    return not terms or (0 <= n <= MAX_AMBIENT and _basis_index(n).keys() >= terms)
+    return not terms or (0 <= n <= MAX_AMBIENT and _graded_basis(n)[1].keys() >= terms)
 
 
 @lru_cache(maxsize=None)
@@ -367,19 +377,6 @@ def antipode(e: SteenrodElt) -> SteenrodElt:
 # Subalgebras
 
 
-def _elt_to_vec(e: SteenrodElt) -> int:
-    idx = _basis_index(e.ambient)
-    v = 0
-    for t in e.terms:
-        v |= 1 << idx[t]
-    return v
-
-
-def _vec_to_elt(v: int, ambient: int) -> SteenrodElt:
-    basis = milnor_basis(ambient)
-    return SteenrodElt(ambient, frozenset(basis[j] for j in vec_support(v)))
-
-
 Word = tuple[int, ...]  # indices into the generator list
 
 
@@ -394,6 +391,12 @@ class SubHopfAlgebra:
     ``top_degree`` and ``unit_index``) is fixed here, once, so that no
     lookup rescans Milnor tuples; a caller that already knows the basis
     degrees passes them as ``basis_degrees``.
+
+    ``subalgebra_closure`` adds one ``F2Span`` per degree over the Milnor
+    terms of that degree, each combo packed over the degree's basis as in
+    ``left`` (a hand-built algebra has none, and contains only zero), and
+    for ``left`` the right columns of its search, each accepted word's
+    (parent word, last letter, degree) and the expressions as word ids.
     """
 
     def __init__(self, ambient: int, name: str,
@@ -427,9 +430,10 @@ class SubHopfAlgebra:
                                 if b.terms == frozenset({()})), None)
         self.kind = kind  # "A", "E" or "custom"; presets tag themselves
         self.kind_param = kind_param
-        self._span: F2Span | None = None
+        self._spans: defaultdict[int, F2Span] = defaultdict(F2Span)
         self._mult_table: dict = {}
         self._left_table: dict[tuple[int, int], int] = {}
+        self._left_words: dict[int, list[int]] = {}  # k -> _left_values(k)
         self._left_decomp: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # -- basic shape ---------------------------------------------------------
@@ -460,20 +464,39 @@ class SubHopfAlgebra:
 
     # -- membership and decomposition ---------------------------------------
 
-    def decompose(self, e: SteenrodElt) -> list[int]:
-        """Coefficients of e over the subalgebra basis (indices with 1)."""
+    def _by_degree_vectors(self, e: SteenrodElt) -> dict[int, int]:
+        """e's part in each degree, over that degree's Milnor terms."""
         if e.ambient != self.ambient:
             raise AmbientMismatchError("element from a different ambient algebra")
-        vec = _elt_to_vec(e)
-        residual, combo = self._span.reduce(vec)
-        if residual:
-            raise ValueError(f"{e} does not lie in {self.name}")
-        return vec_support(combo)
+        place = _graded_basis(self.ambient)[1]
+        vecs: dict[int, int] = {}
+        for t in e.terms:
+            d, bit = place[t]
+            vecs[d] = vecs.get(d, 0) | bit
+        return vecs
+
+    def decompose(self, e: SteenrodElt) -> list[int]:
+        """Coefficients of e over the subalgebra basis (indices with 1)."""
+        total = 0
+        for d, vec in self._by_degree_vectors(e).items():
+            residual, combo = self._spans[d].reduce(vec)
+            if residual:
+                raise ValueError(f"{e} does not lie in {self.name}")
+            total |= combo << self._by_degree[d][0]  # a closure's basis is sorted by degree
+        return vec_support(total)
+
+    def packed(self, e: SteenrodElt, d: int) -> int:
+        """e, zero or homogeneous of degree d, over the basis of degree d,
+        packed as in ``left``."""
+        vecs = self._by_degree_vectors(e)
+        residual, combo = self._spans[d].reduce(vecs.pop(d, 0))
+        if residual or vecs:
+            raise ValueError(f"{e} does not lie in degree {d} of {self.name}")
+        return combo
 
     def contains_element(self, e: SteenrodElt) -> bool:
-        if e.ambient != self.ambient:
-            return False
-        return self._span.reduce(_elt_to_vec(e))[0] == 0
+        return e.ambient == self.ambient and not any(
+            self._spans[d].reduce(vec)[0] for d, vec in self._by_degree_vectors(e).items())
 
     # -- multiplicative structure --------------------------------------------
 
@@ -488,25 +511,45 @@ class SubHopfAlgebra:
 
     def left(self, k: int, j: int) -> int:
         """generators[k] * basis[j], packed over its degree: bit r stands
-        for ``basis_by_degree(d)[r]``."""
+        for ``basis_by_degree(d)[r]``.
+
+        The sum of g_k times the values of the words in expressions[j],
+        read from ``_left_values(k)``, reduced once in the degree's span.
+        """
         key = (k, j)
         hit = self._left_table.get(key)
         if hit is None:
-            index = _basis_index(self.ambient)
+            values = self._left_words.get(k)
+            if values is None:
+                values = self._left_words[k] = self._left_values(k)
             vec = 0
-            for s in self.generators[k].terms:
-                for t in self.basis[j].terms:
-                    for u in _term_product(s, t):
-                        vec ^= 1 << index[u]
-            residual, combo = self._span.reduce(vec)
+            for w in self._expression_ids[j]:
+                vec ^= values[w]
+            residual, hit = self._spans[self.gen_degrees[k] + self.basis_degrees[j]].reduce(vec)
             if residual:
                 raise ValueError(f"{self.gen_names[k]} * {self.basis[j]} "
                                  f"does not lie in {self.name}")
-            hit = 0
-            for i in vec_support(combo):
-                hit |= 1 << self.degree_position[i]
             self._left_table[key] = hit
         return hit
+
+    def _left_values(self, k: int) -> list[int]:
+        """generators[k] times the value of each accepted word (word 0 is
+        the empty word), over the Milnor terms of its degree.
+
+        g_k.value(w.g) = (g_k.value(w)).g: the parent's entry times one
+        right column.  The parent comes first, the search computed the
+        columns of every Milnor term in a span, and a product past the
+        ambient's top degree is zero, so this is exact.
+        """
+        place = _graded_basis(self.ambient)[1]
+        g = self.gen_degrees[k]
+        values = [0]
+        for t in self.generators[k].terms:
+            values[0] |= place[t][1]
+        for up, gi, _ in self._words[1:]:
+            v = values[up]
+            values.append(apply_cols(self._right[gi][g + self._words[up][2]], v) if v else 0)
+        return values
 
     def left_decomposition(self, i: int) -> tuple[tuple[int, int], ...]:
         """basis[i] = sum_k generators[k] * c_k for a basis element of
@@ -558,16 +601,15 @@ class SubHopfAlgebra:
     @cached_property
     def is_sub_hopf(self) -> bool:
         """True when the span is closed under the coproduct."""
-        idx = _basis_index(self.ambient)
         for g in self.generators:
-            left: dict[tuple[int, ...], int] = {}
-            right: dict[tuple[int, ...], int] = {}
+            left: dict[tuple[int, ...], frozenset] = {}
+            right: dict[tuple[int, ...], frozenset] = {}
             for t in g.terms:
                 for a, c in _term_coproduct(t):
-                    left[a] = left.get(a, 0) ^ (1 << idx[c])
-                    right[c] = right.get(c, 0) ^ (1 << idx[a])
-            if any(self._span.reduce(vec)[0]
-                   for vec in (*left.values(), *right.values())):
+                    left[a] = left.get(a, frozenset()) ^ {c}
+                    right[c] = right.get(c, frozenset()) ^ {a}
+            if not all(self.contains_element(SteenrodElt(self.ambient, ts))
+                       for ts in (*left.values(), *right.values())):
                 return False
         return True
 
@@ -594,15 +636,18 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
                        kind="custom", kind_param=-1) -> SubHopfAlgebra:
     """Close a generator set multiplicatively inside A(ambient).
 
-    Breadth-first over right multiplication by the generators, on packed
-    vectors over ``milnor_basis(ambient)``.  Right multiplication by
-    ``gens[gi]`` xors one column per set bit, each column computed once
-    per (Milnor term, generator) and checked against the ambient profile.
-    The queue holds one word per entry with its value, memoised by
-    prefix: value(w + (gi,)) = value(w) * gens[gi].  A word is queued only
-    when its value is independent of the span so far, so no recorded word
-    evaluates to zero.  Each new echelon vector remembers the word
-    combination that produced it.
+    Breadth-first over right multiplication by the generators, on vectors
+    over the Milnor terms of one degree, one ``F2Span`` per degree; a word's
+    degree is its parent's plus its last letter's.  Right multiplication by
+    ``gens[gi]`` xors one column per set bit, ``right[gi][d][bit]`` =
+    term(d, bit) * gens[gi], each computed once and checked against the
+    ambient profile.  The queue holds one word per entry with its value,
+    memoised by prefix: value(w + (gi,)) = value(w) * gens[gi].  A word is
+    accepted only when its value is independent of its degree's span so
+    far, so no recorded word evaluates to zero; it records its parent word
+    and last letter, and each new echelon vector the word combination that
+    produced it.  The algebra keeps the columns and word records for
+    ``left``, and per-degree spans over its sorted basis.
     """
     gens = tuple(gens)
     for g in gens:
@@ -612,65 +657,76 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
             raise ValueError("generators must be homogeneous of positive degree")
     if names is None:
         names = tuple(str(g) for g in gens)
-    basis_terms = milnor_basis(ambient)
-    index = _basis_index(ambient)
-    columns: list[dict[int, int]] = [{} for _ in gens]  # bit -> bit's term * gens[gi]
+    terms, place = _graded_basis(ambient)
+    gdegs = [g.degree() for g in gens]
+    right: list[dict[int, list]] = [{} for _ in gens]
 
-    def column(gi: int, bit: int) -> int:
+    def column(gi: int, d: int, bit: int) -> int:
         col = 0
         for s in gens[gi].terms:
-            for t in _term_product(basis_terms[bit], s):
-                if t not in index:
+            for t in _term_product(terms[d][bit], s):
+                if t not in place:
                     raise OutOfAmbientError(f"product escaped A({ambient}) at {_term_str(t)}")
-                col ^= 1 << index[t]
-        columns[gi][bit] = col
+                col ^= place[t][1]
         return col
 
-    span = F2Span()
-    words: list[Word] = []              # word of the i-th inserted vector
-    residual_vecs: list[int] = []
-    resid_exprs: list[frozenset[Word]] = []
-    queue: list[tuple[int, Word]] = []
+    spans: dict[int, F2Span] = {}
+    members: dict[int, list[int]] = {}  # degree -> its accepted words, by id
+    words: list[Word] = []
+    records: list[tuple[int, int, int]] = []  # parent word, last letter, degree
+    found: list[tuple[int, int, frozenset[int]]] = []  # degree, residual, word ids
+    queue: list[tuple[int, int]] = []  # value, word id
 
-    def push(vec: int, word: Word):
+    def push(vec: int, d: int, up: int, gi: int):
+        span = spans.setdefault(d, F2Span())
         residual, combo = span.reduce(vec)
         if residual == 0:
             return
-        # reduce() reports which raw inserted vectors were folded in, so the
-        # residual's expression is the new word plus those vectors' words
-        span.add(residual, combo ^ (1 << len(words)))
-        resid_exprs.append(frozenset({word}).union(words[i] for i in vec_support(combo)))
-        words.append(word)
-        residual_vecs.append(residual)
-        queue.append((vec, word))
+        # reduce() reports which accepted vectors of degree d were folded
+        # in, so the residual's expression is the new word plus their words
+        ids = members.setdefault(d, [])
+        w = len(words)
+        span.add(residual, combo ^ (1 << len(ids)))
+        found.append((d, residual, frozenset({w}).union(ids[i] for i in vec_support(combo))))
+        ids.append(w)
+        words.append(words[up] + (gi,) if gi >= 0 else ())
+        records.append((up, gi, d))
+        queue.append((vec, w))
 
-    push(1 << index[()], ())
-    for vec, word in queue:
+    push(1, 0, -1, -1)
+    for vec, w in queue:
+        d = records[w][2]
         bits = vec_support(vec)
-        for gi, cols in enumerate(columns):
+        for gi, g in enumerate(gdegs):
+            cols = right[gi].get(d)
+            if cols is None:
+                cols = right[gi][d] = [None] * len(terms[d])
             child = 0
             for bit in bits:
-                col = cols.get(bit)
-                child ^= column(gi, bit) if col is None else col
+                col = cols[bit]
+                if col is None:
+                    col = cols[bit] = column(gi, d, bit)
+                child ^= col
             if child:
-                push(child, word + (gi,))
+                push(child, d + g, w, gi)
 
     # canonical order: by degree, then by echelon vector
-    elts = [_vec_to_elt(v, ambient) for v in residual_vecs]
-    degs = [e.degree() for e in elts]
-    order = sorted(range(len(elts)), key=lambda i: (degs[i], residual_vecs[i]))
+    order = sorted(range(len(found)), key=lambda i: found[i][:2])
     alg = SubHopfAlgebra(ambient=ambient,
                          name=name or ("F_2(" + ", ".join(names) + ")"),
                          generators=gens, gen_names=tuple(names),
-                         basis=tuple(elts[i] for i in order),
-                         expressions=tuple(resid_exprs[i] for i in order),
+                         basis=tuple(SteenrodElt(ambient, frozenset(
+                             terms[found[i][0]][r] for r in vec_support(found[i][1])))
+                             for i in order),
+                         expressions=tuple(frozenset(words[w] for w in found[i][2])
+                                           for i in order),
                          kind=kind, kind_param=kind_param,
-                         basis_degrees=tuple(degs[i] for i in order))
-    # rebuild the span so that combos refer to sorted basis positions
-    fresh = F2Span()
+                         basis_degrees=tuple(found[i][0] for i in order))
     for i, j in enumerate(order):
-        fresh.add(residual_vecs[j], 1 << i)
-    alg._span = fresh
+        alg._spans[found[j][0]].add(found[j][1], 1 << alg.degree_position[i])
+    alg._right = right
+    alg._words = records
+    alg._expression_ids = tuple(found[i][2] for i in order)
     return alg
 
 

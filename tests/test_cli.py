@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -196,6 +197,22 @@ def test_quotient_verb(capsys):
     assert code == 0
     assert "module quotient over A(1)" in out
     assert "degree -2" in out
+
+
+# sha256 of the stdout of `stmod quotient --algebra A(3) --kill ...`: the
+# relations b.x, their elimination and the projected generator actions
+A3_QUOTIENT_DIGESTS = {
+    "Sq^4": "9a0ad052ed74950c88565012e44329bb267b18c37a0effeaa0d0f643e489d36a",
+    "Sq^2": "0ead871704830b6530ae0e6311174c483bdc7d25c37194383fe42641cc722fe4",
+    "Sq(0,1)": "2ce0e74f2e3f8c85bb528884a785d4288023a72d5d67941a2d0b2faa55f69a04",
+}
+
+
+@pytest.mark.parametrize("kill", sorted(A3_QUOTIENT_DIGESTS))
+def test_a3_quotient_outputs_are_pinned(capsys, kill):
+    code, out, _ = run(capsys, "quotient", "--algebra", "A(3)", "--kill", kill)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == A3_QUOTIENT_DIGESTS[kill]
 
 
 def test_tensor_dual_suspend_pipeline(tmp_path, capsys):

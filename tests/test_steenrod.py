@@ -7,7 +7,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import example, given, strategies as hst
 
 from stmod import fixtures, steenrod as st
 from stmod.f2linalg import F2Span, vec_support
@@ -617,6 +617,143 @@ def test_left_products_match_steenrod_products():
             for j, b in enumerate(alg.basis):
                 d = alg.basis_degrees[j] + alg.gen_degrees[k]
                 assert degree_element(alg, d, alg.left(k, j)) == g * b
+
+
+class MilnorReference:
+    """Coordinates over an algebra's basis from one Gaussian elimination of
+    its basis elements as vectors over the whole Milnor basis of the
+    ambient; it reads nothing of the algebra but its basis and degrees."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.index = {t: i for i, t in enumerate(st.milnor_basis(alg.ambient))}
+        self.span = F2Span()
+        for i, b in enumerate(alg.basis):
+            assert self.span.add(self.vector(b), 1 << i)
+
+    def vector(self, e):
+        return sum(1 << self.index[t] for t in e.terms)
+
+    def decompose(self, e):
+        """Sorted basis indices summing to e, or None when e is not in."""
+        if e.ambient != self.alg.ambient:
+            return None
+        residual, combo = self.span.reduce(self.vector(e))
+        return None if residual else vec_support(combo)
+
+    def left(self, k, j):
+        """generators[k] * basis[j] by SteenrodElt product, packed over its
+        degree as ``SubHopfAlgebra.left`` is."""
+        alg = self.alg
+        d = alg.gen_degrees[k] + alg.basis_degrees[j]
+        ids = [i for i, e in enumerate(alg.basis_degrees) if e == d]
+        return sum(1 << ids.index(i)
+                   for i in self.decompose(alg.generators[k] * alg.basis[j]))
+
+
+def assert_left_matches_products(alg, pairs=None):
+    ref = MilnorReference(alg)
+    if pairs is None:
+        pairs = [(k, j) for k in range(len(alg.generators)) for j in range(alg.dim)]
+    for k, j in pairs:
+        assert alg.left(k, j) == ref.left(k, j), (alg.name, k, j)
+
+
+def sample_elements(alg, rng, count):
+    """Seeded elements of alg's ambient: zero, sums of basis elements (most
+    of them inhomogeneous), sums of ambient Milnor terms in one degree and
+    across degrees, and members plus one ambient term."""
+    n = alg.ambient
+    terms = st.milnor_basis(n)
+    out = [zero(n), unit(n), Sq(1, ambient=n)]
+    for _ in range(count):
+        some = rng.sample(alg.basis, rng.randint(1, min(4, alg.dim)))
+        member = functools.reduce(operator.add, some)
+        d = st.milnor_degree(rng.choice(terms))
+        one_degree = [t for t in terms if st.milnor_degree(t) == d]
+        homogeneous = rng.sample(one_degree, rng.randint(1, len(one_degree)))
+        spread = rng.sample(terms, rng.randint(1, min(6, len(terms))))
+        out += [member, st.SteenrodElt(n, frozenset(homogeneous)),
+                st.SteenrodElt(n, frozenset(spread)),
+                member + st.SteenrodElt(n, frozenset({rng.choice(terms)}))]
+    return out
+
+
+ORACLE_ALGEBRAS = {
+    "A0": lambda: st.A(0), "A1": lambda: st.A(1), "A2": lambda: st.A(2),
+    "E0": lambda: st.E(0), "E1": lambda: st.E(1), "E2": lambda: st.E(2), "E3": lambda: st.E(3),
+    "A1<A3": lambda: st.A(1, 3), "A2<A3": lambda: st.A(2, 3), "E2<A3": lambda: st.E(2, 3),
+    "B": fixtures.algebra_B, "P11": fixtures.algebra_P11,
+    "Sq(3)+Sq(0,1)": lambda: st.subalgebra_closure([Sq(3, ambient=2) + Sq(0, 1, ambient=2)], 2),
+    # Sq(1), which every sample holds, is no member here
+    "F2(Sq^2)": lambda: st.subalgebra_closure([sq(2, 1)], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_left_products_match_the_milnor_product_oracle(name):
+    assert_left_matches_products(ORACLE_ALGEBRAS[name]())
+
+
+def test_left_products_match_the_milnor_product_oracle_on_seeded_a3_sample():
+    a3 = st.A(3)
+    rng = random.Random(1958)
+    pairs = [(rng.randrange(len(a3.generators)), rng.randrange(a3.dim)) for _ in range(512)]
+    assert_left_matches_products(a3, pairs)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS) + ["A3"])
+def test_decompose_and_membership_match_the_elimination_oracle(name):
+    alg = st.A(3) if name == "A3" else ORACLE_ALGEBRAS[name]()
+    ref = MilnorReference(alg)
+    elements = sample_elements(alg, random.Random(name), 12)
+    other = 2 if alg.ambient != 2 else 1
+    elements += [sq(1, other), unit(other), zero(other)]
+    seen = set()
+    for e in elements:
+        want = ref.decompose(e)
+        seen.add(want is None)
+        assert alg.contains_element(e) == (want is not None), (name, e)
+        if want is None:
+            error = st.AmbientMismatchError if e.ambient != alg.ambient else ValueError
+            with pytest.raises(error):
+                alg.decompose(e)
+        else:
+            assert alg.decompose(e) == want, (name, e)
+    assert seen == {True, False}
+
+
+@hst.composite
+def generator_lists(draw):
+    """Homogeneous generators in ambient 0 to 2, some of them repeated or
+    products of earlier ones, so that one-letter words get rejected."""
+    ambient = draw(hst.sampled_from([0, 1, 2]))
+    by_degree = {}
+    for t in st.milnor_basis(ambient)[1:]:
+        by_degree.setdefault(st.milnor_degree(t), []).append(t)
+    gens = []
+    for _ in range(draw(hst.integers(1, 4))):
+        how = draw(hst.sampled_from(["fresh", "repeat", "product"]) if gens else hst.just("fresh"))
+        if how == "repeat":
+            gens.append(draw(hst.sampled_from(gens)))
+            continue
+        if how == "product":
+            g = draw(hst.sampled_from(gens)) * draw(hst.sampled_from(gens))
+            if not g.is_zero():
+                gens.append(g)
+                continue
+        pool = by_degree[draw(hst.sampled_from(sorted(by_degree)))]
+        gens.append(st.SteenrodElt(ambient, frozenset(draw(hst.sets(hst.sampled_from(pool),
+                                                                    min_size=1)))))
+    return gens, ambient
+
+
+@given(generator_lists())
+@example(([sq(1, 1), sq(1, 1)], 1))
+@example(([sq(2, 2), sq(2, 2) * sq(2, 2)], 2))
+@example(([sq(1, 2), sq(2, 2), sq(1, 2) * sq(2, 2)], 2))
+def test_left_products_match_the_product_oracle_on_random_closures(case):
+    assert_left_matches_products(st.subalgebra_closure(*case))
 
 
 def test_unit_has_no_left_decomposition():
