@@ -341,16 +341,16 @@ def cmd_fixtures(args) -> int:
             print(f"{name:28s} dim {m.total_dim:3d} over {m.algebra.name:6s} "
                   f"- {fixtures.fixture_description(name)}")
         return 0
-    bad = 0
-    for name in names:
-        problems = fixtures.verify_fixture(name)
-        if problems:
-            bad += 1
-            for p in problems:
-                print(f"FAIL {name}: {p}")
-        else:
-            print(f"ok   {name}")
-    return 0 if bad == 0 else 1
+    problems = {name: fixtures.verify_fixture(name) for name in names}
+    failed = {name: ps for name, ps in problems.items() if ps}
+    if args.json:
+        print(json.dumps({"verb": "fixtures", "inputs": {"verify": True},
+                          "result": {"ok": not failed, "problems": problems},
+                          "certificate": failed}, sort_keys=True))
+    else:
+        for name, ps in problems.items():
+            print("\n".join(f"FAIL {name}: {p}" for p in ps) or f"ok   {name}")
+    return 1 if failed else 0
 
 
 def _inputs(args) -> dict:

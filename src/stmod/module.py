@@ -302,7 +302,7 @@ def validate(m: GradedModule) -> list[str]:
     Over a full A(n) this evaluates every Wall relation on every degree
     through ``words_op``; otherwise it checks the dim * (number of
     generators) relations basis[i] * generator[k] = sum_j basis[j] that
-    present the algebra.
+    present the algebra, their right sides from ``right_products``.
     Violations name the failing relation (or product), the degree, and a
     witness basis element.
     """
@@ -323,10 +323,10 @@ def validate(m: GradedModule) -> list[str]:
     # degree vanish), so the derived action, which the unit's relations tie
     # to the generator matrices, is multiplicative iff each one holds
     # column by column
+    products = [alg.right_products(gen) for gen in alg.generators]
     for i, di in enumerate(alg.basis_degrees):
-        for k, gen in enumerate(alg.generators):
-            g = gdegs[k]
-            rhs = alg.decompose(alg.basis[i] * gen) if di + g <= alg.top_degree else ()
+        for k, g in enumerate(gdegs):
+            rhs = [alg.basis_by_degree(di + g)[r] for r in vec_support(products[k][i])]
             for d in m.degrees():
                 diff = [apply_cols(m.basis_op(i, d + g), c) for c in m.columns(k, d)]
                 for j in rhs:
@@ -484,29 +484,35 @@ def _free_quotient(alg: SubHopfAlgebra, v: GradedModule, relations,
     by the labels of v.
 
     The slots of degree d are the triples (algebra basis index a, V degree
-    e, V index i) with deg(a) + e = d, ordered by a, then e, then i.  A
-    relation is a tuple of terms (c, avec, e, vvec), each the sum of the
-    slots (basis_by_degree(c)[r], e, i) over the bits r of avec and i of
-    vvec.  Generator g sends slot (a, e, i) to alg.left(g, a) placed over
-    the slots, reduced modulo the relations and projected onto the slots
-    kept (those that are no pivot of the relations).
+    e, V index i) with deg(a) + e = d, ordered by a, then i; the basis is
+    sorted by degree, so (a, e, i) sits at base[deg(a), e] + position(a) *
+    dim V_e + i.  A relation is a tuple of terms (c, avec, e, vvec), each
+    the sum of the slots (basis_by_degree(c)[r], e, i) over the bits r of
+    avec and i of vvec.  Generator g sends slot (a, e, i) to alg.left(g, a)
+    placed over the slots, reduced modulo the relations and projected onto
+    the slots kept (those that are no pivot of the relations).
 
     Returns the module and its kept slots per degree.
     """
-    offset: dict[tuple[int, int], int] = {}    # (a, e) -> first slot of its block
+    base: dict[tuple[int, int], int] = {}    # (c, e) -> first slot of its run
     slots: dict[int, list[tuple[int, int, int]]] = {}
-    for a, c in enumerate(alg.basis_degrees):
+    for c in alg.degrees:
         for e in v.degrees():
             lst = slots.setdefault(c + e, [])
-            offset[a, e] = len(lst)
-            lst += [(a, e, i) for i in range(v.dim(e))]
+            base[c, e] = len(lst)
+            lst += [(a, e, i) for a in alg.basis_by_degree(c) for i in range(v.dim(e))]
+
+    dims = v.dims()
 
     def place(c: int, avec: int, e: int, vvec: int) -> int:
+        if not (avec and vvec):
+            return 0
+        at, stride = base[c, e], dims[e]
+        if stride == 1:
+            return avec << at
         out = 0
-        if vvec:
-            ids = alg.basis_by_degree(c)
-            for r in vec_support(avec):
-                out ^= vvec << offset[ids[r], e]
+        for r in vec_support(avec):
+            out |= vvec << at + r * stride
         return out
 
     spans = {d: F2Span() for d in slots}
@@ -548,7 +554,8 @@ def quotient_by_left_ideal(alg: SubHopfAlgebra, gens) -> GradedModule:
     """The cyclic module alg / alg{gens}, generated by the unit coset.
 
     The ideal is spanned by the right multiples b.x of the generators x by
-    the basis elements b.
+    the basis elements b, read off the closure's right columns
+    (``SubHopfAlgebra.right_products``).
     """
     gens = list(gens)
     relations = []
@@ -559,8 +566,8 @@ def quotient_by_left_ideal(alg: SubHopfAlgebra, gens) -> GradedModule:
             raise ValueError(f"ideal generator {x} is not homogeneous")
         if not x.is_zero():
             dx = x.degree()
-            relations += [((db + dx, alg.packed(b * x, db + dx), 0, 1),)
-                          for b, db in zip(alg.basis, alg.basis_degrees)
+            relations += [((db + dx, bx, 0, 1),) for bx, db in
+                          zip(alg.right_products(x), alg.basis_degrees)
                           if db + dx <= alg.top_degree]
     gen_names = ", ".join(str(x) for x in gens)
     return _free_quotient(alg, trivial_module(alg), relations,
@@ -583,24 +590,31 @@ def hopf_quotient(h: SubHopfAlgebra, k: SubHopfAlgebra) -> GradedModule:
 def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModule:
     """a (x)_b m for b a subalgebra of a and m a b-module.
 
-    A module handed over a (or any algebra containing b) is restricted to b
-    first.  The relations x.y (x) v + x (x) y.v are taken for the basis
-    elements x of a and the generators y of b only; they span all of them,
-    since x.y1y2 (x) v + x (x) y1y2.v is the relation for (x.y1, y2, v)
-    plus the one for (x, y1, y2.v).
+    A module over a preset A(n) or E(n) of a smaller ambient is re-tagged
+    onto that preset in b's ambient (the same generators, in order); one
+    over a (or any algebra containing b) is restricted to b.  The relations
+    x.y (x) v + x (x) y.v, each x.y from ``SubHopfAlgebra.right_products``,
+    are taken for the basis elements x of a and the generators y of b
+    only; they span all of them, since x.y1y2 (x) v + x (x) y1y2.v is the
+    relation for (x.y1, y2, v) plus the one for (x, y1, y2.v).
     """
     if not b.is_subalgebra_of(a):
         raise ValueError(f"{b.name} is not a subalgebra of {a.name}")
+    src = m.algebra
+    if src.kind in ("A", "E") and src.ambient < b.ambient:
+        preset = steenrod.A if src.kind == "A" else steenrod.E
+        m = GradedModule(preset(src.kind_param, b.ambient), m.labels, m.actions, m.meta)
     if m.algebra != b:
         if b.is_subalgebra_of(m.algebra):
             m = restrict(m, b)
         else:
             raise ValueError("module is not given over the middle algebra")
     relations = []
-    for ai, (x, dx) in enumerate(zip(a.basis, a.basis_degrees)):
+    products = [a.right_products(y) for y in b.generators]
+    for ai, dx in enumerate(a.basis_degrees):
         unit_x = 1 << a.degree_position[ai]
-        for yi, (y, dy) in enumerate(zip(b.generators, b.gen_degrees)):
-            xy = a.packed(x * y, dx + dy) if dx + dy <= a.top_degree else 0
+        for yi, dy in enumerate(b.gen_degrees):
+            xy = products[yi][ai]
             for dv in m.degrees():
                 for iv, yv in enumerate(m.columns(yi, dv)):
                     relations.append(((dx + dy, xy, dv, 1 << iv), (dx, unit_x, dv + dy, yv)))

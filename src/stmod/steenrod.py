@@ -8,7 +8,8 @@ coproduct, antipode) this module builds finite subalgebras by closing a
 generator set multiplicatively, recording how each basis element is spelled
 as a sum of generator words, and keeps one echelon span per degree.  By
 associativity the closure's right-multiplication columns give every left
-product g_k.b_j, with no further Milnor product.  Modules are specified by
+product g_k.b_j, and run along x's words they give every right product
+b_j.x, with no further Milnor product.  Modules are specified by
 generator actions alone: every basis element acts through its left
 decomposition b = sum_k g_k.c_k over the generators, read off the left
 products, while the word expressions are what the Wall relations are
@@ -395,8 +396,9 @@ class SubHopfAlgebra:
     ``subalgebra_closure`` adds one ``F2Span`` per degree over the Milnor
     terms of that degree, each combo packed over the degree's basis as in
     ``left`` (a hand-built algebra has none, and contains only zero), and
-    for ``left`` the right columns of its search, each accepted word's
-    (parent word, last letter, degree) and the expressions as word ids.
+    for ``left`` and ``right_products`` the right columns of its search,
+    each accepted word's (parent word, last letter, degree) and the
+    expressions as word ids.
     """
 
     def __init__(self, ambient: int, name: str,
@@ -485,15 +487,6 @@ class SubHopfAlgebra:
             total |= combo << self._by_degree[d][0]  # a closure's basis is sorted by degree
         return vec_support(total)
 
-    def packed(self, e: SteenrodElt, d: int) -> int:
-        """e, zero or homogeneous of degree d, over the basis of degree d,
-        packed as in ``left``."""
-        vecs = self._by_degree_vectors(e)
-        residual, combo = self._spans[d].reduce(vecs.pop(d, 0))
-        if residual or vecs:
-            raise ValueError(f"{e} does not lie in degree {d} of {self.name}")
-        return combo
-
     def contains_element(self, e: SteenrodElt) -> bool:
         return e.ambient == self.ambient and not any(
             self._spans[d].reduce(vec)[0] for d, vec in self._by_degree_vectors(e).items())
@@ -508,6 +501,37 @@ class SubHopfAlgebra:
             hit = tuple(self.decompose(self.basis[i] * self.basis[j]))
             self._mult_table[key] = hit
         return hit
+
+    def right_products(self, x: SteenrodElt) -> list[int]:
+        """basis[j] * x for every j, packed as in ``left``, 0 past the top
+        degree, x homogeneous or zero: basis[j]'s Milnor vector runs through
+        the right columns along each word of x's expressions, then one
+        reduction in its degree's span.  Exact as ``left`` is, since every
+        prefix product lies in a span.  ValueError when x is not in the algebra.
+        """
+        words: frozenset[Word] = frozenset()
+        for i in self.decompose(x):
+            words ^= self.expressions[i]
+        out = [0] * self.dim
+        if not words:
+            return out
+        dx, place = x.degree(), _graded_basis(self.ambient)[1]
+        for j, (b, d) in enumerate(zip(self.basis, self.basis_degrees)):
+            if d + dx > self.top_degree:
+                continue
+            start, vec = sum(place[t][1] for t in b.terms), 0
+            for w in words:
+                v, e = start, d
+                for gi in w:
+                    v = apply_cols(self._right[gi][e], v)
+                    if not v:
+                        break
+                    e += self.gen_degrees[gi]
+                vec ^= v
+            residual, out[j] = self._spans[d + dx].reduce(vec)
+            if residual:
+                raise ValueError(f"{b} * {x} does not lie in {self.name}")
+        return out
 
     def left(self, k: int, j: int) -> int:
         """generators[k] * basis[j], packed over its degree: bit r stands
@@ -647,7 +671,7 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
     far, so no recorded word evaluates to zero; it records its parent word
     and last letter, and each new echelon vector the word combination that
     produced it.  The algebra keeps the columns and word records for
-    ``left``, and per-degree spans over its sorted basis.
+    ``left`` and ``right_products``, per-degree spans over its sorted basis.
     """
     gens = tuple(gens)
     for g in gens:

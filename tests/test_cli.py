@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from stmod import cli
+from stmod import cli, fixtures, modfile, module as md, steenrod
 
 
 def run(capsys, *argv):
@@ -208,6 +208,17 @@ A3_QUOTIENT_DIGESTS = {
 }
 
 
+# sha256 of the stdout of `stmod quotient --algebra A(2) --kill Sq^1 --kill Sq^4`
+A2_QUOTIENT_DIGEST = "40f560f0cc97e5e64282aefc0effa8e47c4cb1ab2d9b06695235eb905f17e595"
+
+
+def test_a2_quotient_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "quotient", "--algebra", "A(2)",
+                       "--kill", "Sq^1", "--kill", "Sq^4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == A2_QUOTIENT_DIGEST
+
+
 @pytest.mark.parametrize("kill", sorted(A3_QUOTIENT_DIGESTS))
 def test_a3_quotient_outputs_are_pinned(capsys, kill):
     code, out, _ = run(capsys, "quotient", "--algebra", "A(3)", "--kill", kill)
@@ -300,6 +311,16 @@ def test_restrict_and_induce_verbs(capsys):
     assert code == 0
 
 
+def test_induce_verb_takes_an_a1_fixture_up_to_a2(capsys):
+    code, out, err = run(capsys, "induce", "--fixture", "Joker",
+                         "--algebra", "A(2)", "--sub", "A(1)")
+    assert code == 0, err
+    joker, a12 = fixtures.load_fixture("Joker"), steenrod.A(1, 2)
+    over_a12 = md.GradedModule(a12, joker.labels, joker.actions, joker.meta)
+    want = md.induce(steenrod.A(2), a12, over_a12)
+    assert out == modfile.serialize_module(want, name="induced")
+
+
 def test_double_verb(capsys):
     code, out, _ = run(capsys, "double", "--fixture", "A0")
     assert code == 0
@@ -324,6 +345,32 @@ def test_fixtures_json(capsys):
     assert code == 0
     names = json.loads(out)["result"]
     assert "HZ" in names
+
+
+@pytest.mark.parametrize("flags", [("--verify", "--json"), ("--json", "--verify")])
+def test_fixtures_verify_json(capsys, flags):
+    code, out, _ = run(capsys, "fixtures", *flags)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verb"] == "fixtures" and doc["inputs"] == {"verify": True}
+    assert doc["result"]["ok"] is True and doc["certificate"] == {}
+    assert list(doc["result"]["problems"]) == sorted(fixtures.fixture_names())
+    assert not any(doc["result"]["problems"].values())
+
+
+def test_fixtures_verify_reports_a_failing_fixture(capsys, monkeypatch):
+    verify = fixtures.verify_fixture
+    monkeypatch.setattr(fixtures, "verify_fixture",
+                        lambda name: ["broken"] if name == "Joker" else verify(name))
+    code, out, _ = run(capsys, "fixtures", "--verify", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["result"]["ok"] is False
+    assert doc["result"]["problems"]["Joker"] == ["broken"]
+    assert doc["certificate"] == {"Joker": ["broken"]}
+    code, out, _ = run(capsys, "fixtures", "--verify")
+    assert code == 1
+    assert "FAIL Joker: broken\n" in out and "ok   HZ\n" in out
 
 
 def test_unknown_fixture_domain_error(capsys):

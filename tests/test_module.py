@@ -1,10 +1,11 @@
 """Graded modules: validation, functor calculus, Margolis homology."""
 
+import hashlib
 import random
 
 import pytest
 
-from stmod import fixtures, module as md, steenrod as st
+from stmod import fixtures, modfile, module as md, steenrod as st
 from stmod.f2linalg import F2Matrix, F2Span
 from stmod.module import (GradedModule, ModuleMap, direct_sum, double, dual,
                           hopf_quotient, induce, margolis_homology,
@@ -501,6 +502,44 @@ def test_induce_matches_reference(case, hz):
         "A3-E2-F2": lambda: (st.A(3), st.E(2, 3), trivial_module(st.E(2, 3))),
     }[case]()
     _same(induce(a, b, m), _ref_induce(a, b, m))
+
+
+@pytest.fixture(scope="module")
+def a2_mod_a1():
+    return hopf_quotient(st.A(2), st.A(1, 2))
+
+
+@pytest.mark.parametrize("name", ["Q", "double(Joker)", "Q(x)Q"])
+def test_shearing_matches_induction(a2_mod_a1, name):
+    """Shearing, an independent check of ``induce``: with Q = A(2)//A(1),
+    Q (x) M is isomorphic to A(2) (x)_A(1) M for every A(2)-module M."""
+    q = a2_mod_a1
+    m = {"Q": lambda: q, "double(Joker)": lambda: double(fixtures.load_fixture("Joker")),
+         "Q(x)Q": lambda: tensor(q, q)}[name]()
+    sheared = tensor(q, m)
+    induced = induce(st.A(2), st.A(1, 2), restrict(m, st.A(1, 2)))
+    assert isinstance(iso_test(sheared, induced), ModuleMap)
+    if name != "Q(x)Q":
+        assert ext_chart(sheared, 6, 30) == ext_chart(induced, 6, 30)
+
+
+# sha256 of serialize_module(hopf_quotient(A(3), A(2, 3)), name="A3modA2")
+A3_MOD_A2_DIGEST = "249e13b6c1a7d5f3213fa3782983baddae610d4d02bf4bfa2c3d466fd2c87f5b"
+
+
+def test_a3_mod_a2_output_is_pinned():
+    text = modfile.serialize_module(hopf_quotient(st.A(3), st.A(2, 3)), name="A3modA2")
+    assert hashlib.sha256(text.encode()).hexdigest() == A3_MOD_A2_DIGEST
+
+
+def test_induce_retags_a_preset_module_onto_the_larger_ambient(joker):
+    """A module over A(1) induces along A(1) < A(2): its generators are
+    A(1, 2)'s, in the same order."""
+    over_a12 = GradedModule(st.A(1, 2), joker.labels, joker.actions, joker.meta)
+    assert validate(over_a12) == []
+    _same(induce(st.A(2), st.A(1, 2), joker), induce(st.A(2), st.A(1, 2), over_a12))
+    with pytest.raises(ValueError, match="middle algebra"):
+        induce(st.A(2), st.E(1, 2), trivial_module(st.A(0)))
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,53 @@ def test_left_products_match_steenrod_products():
                 assert degree_element(alg, d, alg.left(k, j)) == g * b
 
 
+RIGHT_FACTORS = ("Sq^3", "Sq(0,1)", "Sq^2Sq^2", "Sq^4 + Sq(1,1)")
+
+
+def right_factors(alg):
+    """The generators, then each of RIGHT_FACTORS that lies in alg."""
+    out = list(alg.generators)
+    for text in RIGHT_FACTORS:
+        try:
+            x = parse_element(text, alg.ambient)
+        except st.OutOfAmbientError:
+            continue
+        if alg.contains_element(x):
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("alg", [
+    st.A(0), st.A(1), st.A(2), st.A(3), st.E(1), st.E(2), st.E(3), st.A(1, 3),
+    st.A(2, 3), st.E(2, 3), fixtures.algebra_B(), fixtures.algebra_P11()], ids=str)
+def test_right_products_match_milnor_products(alg):
+    """basis[j] * x from the right columns against the Milnor product
+    decomposed and packed over its degree, 0 past the top degree; on A(3)
+    over a seeded sample of 256 basis elements."""
+    js = range(alg.dim)
+    if alg.dim > 256:
+        js = random.Random(2023).sample(js, 256)
+    for x in right_factors(alg):
+        got = alg.right_products(x)
+        assert len(got) == alg.dim
+        for j in js:
+            d = alg.basis_degrees[j] + x.degree()
+            want = 0
+            if d <= alg.top_degree:
+                for i in alg.decompose(alg.basis[j] * x):
+                    assert alg.basis_degrees[i] == d
+                    want |= 1 << alg.degree_position[i]
+            assert got[j] == want, (alg.basis[j], x)
+
+
+def test_right_products_reject_factors_outside_the_algebra():
+    for alg, text in ((st.A(1, 2), "Sq^4"), (st.E(2), "Sq^2"),
+                      (fixtures.algebra_P11(), "Sq^1"), (fixtures.algebra_B(), "Sq^1 + Sq^2")):
+        with pytest.raises(ValueError, match="does not lie in"):
+            alg.right_products(parse_element(text, alg.ambient))
+    assert st.A(1).right_products(zero(1)) == [0] * 8
+
+
 class MilnorReference:
     """Coordinates over an algebra's basis from one Gaussian elimination of
     its basis elements as vectors over the whole Milnor basis of the
