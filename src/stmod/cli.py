@@ -82,8 +82,8 @@ _SUBALGEBRAS = {
     "A2": lambda n: steenrod.A(2, n),
     "E1": lambda n: steenrod.E(1, n),
     "E2": lambda n: steenrod.E(2, n),
-    "P11": lambda n: fixtures.algebra_P11(),
-    "B": lambda n: fixtures.algebra_B(),
+    "P11": fixtures.algebra_P11,
+    "B": fixtures.algebra_B,
 }
 
 

@@ -20,18 +20,18 @@ from .stable import check_exact, reduce_module, selfdual_shift
 from .steenrod import milnor_primitive, parse_element, sq
 
 
-def algebra_B() -> steenrod.SubHopfAlgebra:
+def algebra_B(ambient: int = 1) -> steenrod.SubHopfAlgebra:
     """The 6-dimensional commutative subalgebra generated by Sq^2 and the
-    first Milnor primitive Q_1."""
+    first Milnor primitive Q_1, inside A(ambient)."""
     return steenrod.subalgebra_closure(
-        [sq(2, 1), milnor_primitive(1, 1)], 1,
+        [sq(2, ambient), milnor_primitive(1, ambient)], ambient,
         names=("Sq^2", "P(1,1)"), name="F2(Sq^2,P(1,1))")
 
 
-def algebra_P11() -> steenrod.SubHopfAlgebra:
-    """The exterior subalgebra on the central primitive Q_1 inside A(1)."""
+def algebra_P11(ambient: int = 1) -> steenrod.SubHopfAlgebra:
+    """The exterior subalgebra on the primitive Q_1 inside A(ambient)."""
     return steenrod.subalgebra_closure(
-        [milnor_primitive(1, 1)], 1, names=("P(1,1)",), name="F2(P(1,1))")
+        [milnor_primitive(1, ambient)], ambient, names=("P(1,1)",), name="F2(P(1,1))")
 
 
 def _a1_quotient(words: list[str], shift: int = 0) -> GradedModule:

@@ -529,6 +529,8 @@ def _free_quotient(alg: SubHopfAlgebra, v: GradedModule, relations,
         kept[d] = [j for j in range(len(lst)) if j not in pivots]
 
     def project(d: int, vec: int) -> int:
+        if not spans[d].dim:
+            return vec  # nothing to kill: every slot is kept
         out = 0
         for j in vec_support(spans[d].reduce(vec)[0]):
             out |= 1 << bisect_left(kept[d], j)
@@ -591,12 +593,14 @@ def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModul
     """a (x)_b m for b a subalgebra of a and m a b-module.
 
     A module over a preset A(n) or E(n) of a smaller ambient is re-tagged
-    onto that preset in b's ambient (the same generators, in order); one
-    over a (or any algebra containing b) is restricted to b.  The relations
-    x.y (x) v + x (x) y.v, each x.y from ``SubHopfAlgebra.right_products``,
-    are taken for the basis elements x of a and the generators y of b
-    only; they span all of them, since x.y1y2 (x) v + x (x) y1y2.v is the
-    relation for (x.y1, y2, v) plus the one for (x, y1, y2.v).
+    onto that preset in b's ambient (the same generators, in order), and
+    one over an algebra of a smaller ambient with b's generator terms, in
+    order, onto b; one over a (or any algebra containing b) is restricted
+    to b.  The relations x.y (x) v + x (x) y.v, each x.y from
+    ``SubHopfAlgebra.right_products``, are taken for the basis elements x
+    of a and the generators y of b only; they span all of them, since
+    x.y1y2 (x) v + x (x) y1y2.v is the relation for (x.y1, y2, v) plus the
+    one for (x, y1, y2.v).
     """
     if not b.is_subalgebra_of(a):
         raise ValueError(f"{b.name} is not a subalgebra of {a.name}")
@@ -604,6 +608,9 @@ def induce(a: SubHopfAlgebra, b: SubHopfAlgebra, m: GradedModule) -> GradedModul
     if src.kind in ("A", "E") and src.ambient < b.ambient:
         preset = steenrod.A if src.kind == "A" else steenrod.E
         m = GradedModule(preset(src.kind_param, b.ambient), m.labels, m.actions, m.meta)
+    elif (src.ambient < b.ambient
+          and [g.terms for g in src.generators] == [g.terms for g in b.generators]):
+        m = GradedModule(b, m.labels, m.actions, m.meta)
     if m.algebra != b:
         if b.is_subalgebra_of(m.algebra):
             m = restrict(m, b)

@@ -6,8 +6,10 @@ the truncated polynomial dual; the profile constraint is ``r_i < 2^(n+2-i)``
 with ``r_i = 0`` for ``i > n+1``.  On top of the raw arithmetic (product,
 coproduct, antipode) this module builds finite subalgebras by closing a
 generator set multiplicatively, recording how each basis element is spelled
-as a sum of generator words, and keeps one echelon span per degree.  By
-associativity the closure's right-multiplication columns give every left
+as a sum of generator words, and keeps one echelon span per degree.  Its
+right-multiplication columns term * Sq(k) come straight from Milnor's
+single-column walk, whose steps over a_2, ..., a_n are memoised and
+shared by every a_1.  By associativity those columns give every left
 product g_k.b_j, and run along x's words they give every right product
 b_j.x, with no further Milnor product.  Modules are specified by
 generator actions alone: every basis element acts through its left
@@ -21,6 +23,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from functools import cached_property, lru_cache
+from itertools import product
+from operator import mul
 
 from .f2linalg import F2Span, apply_cols, vec_support
 from .value import Value
@@ -73,24 +77,21 @@ def _term_str(t: tuple[int, ...]) -> str:
 
 @lru_cache(maxsize=None)
 def milnor_basis(n: int) -> tuple[tuple[int, ...], ...]:
-    """All Milnor basis exponent tuples of A(n), sorted by (degree, tuple)."""
+    """All Milnor basis exponent tuples of A(n), sorted by (degree, tuple).
+
+    ``product`` lists the profile's padded tuples in tuple order, the sort
+    by degree is stable, and dropping trailing zeros keeps the order.
+    """
     if n < 0:
         raise ValueError("ambient index must be nonnegative")
-    ranges = [range(2 ** (n + 1 - i)) for i in range(n + 1)]
+    weights = [2 ** (i + 1) - 1 for i in range(n + 1)]
+    padded = product(*(range(2 ** (n + 1 - i)) for i in range(n + 1)))
     out = []
-
-    def rec(i, acc):
-        if i == len(ranges):
-            out.append(_normalize(tuple(acc)))
-            return
-        for v in ranges[i]:
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    uniq = sorted(set(out), key=lambda t: (milnor_degree(t), t))
-    return tuple(uniq)
+    for r in sorted(padded, key=lambda r: sum(map(mul, r, weights))):
+        while r and not r[-1]:
+            r = r[:-1]
+        out.append(r)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -189,37 +190,66 @@ def _chain_product(a: tuple[int, ...], k: int, sq_right: bool) -> frozenset[tupl
     chain: distinct matrices give distinct terms, and nothing cancels.  The
     walk draws y_n, ..., y_1 in turn, each among the submasks of the
     complement of the residue it meets, since a multinomial is odd iff its
-    parts have disjoint bits.
+    parts have disjoint bits: ``_chain_tail`` draws y_n, ..., y_2, which do
+    not depend on a_1, and ``_chain_terms`` draws y_1 from each of its states.
     """
-    n = len(a)
+    return frozenset(_chain_terms(a, k, sq_right))
+
+
+@lru_cache(maxsize=None)
+def _chain_tail(tail: tuple[int, ...], k: int,
+                sq_right: bool) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The walk of ``_chain_product`` over y_n, ..., y_2 for a = (a_1, *tail),
+    shared by every a_1: the states (o_2, what y_n..y_2 leave of k,
+    (t_3, ..., t_(n+1))), a zero t_(n+1) dropped.  With no tail, the one
+    state (0, k, ())."""
+    n = len(tail) + 1
     own = 1 if sq_right else 0  # y_p takes y_p << own from a_p
-    out: set[tuple[int, ...]] = set()
+    out: list[tuple[int, int, tuple[int, ...]]] = []
     t = [0] * (n + 1)  # t[p] = t_(p+1)
 
     def down(p, meet, left):
-        ap = a[p - 1]
+        if p == 1:
+            # only t_(n+1) = y_n can be 0 at the end: then t_n >= a_n
+            out.append((meet, left, tuple(t[2:]) if t[n] else tuple(t[2:n])))
+            return
+        ap = tail[p - 2]
         cost = 0 if sq_right else p  # ... and y_p << cost from k
-        lim = ap >> own
-        if left >> cost < lim:
-            lim = left >> cost
-        free = ((1 << lim.bit_length()) - 1) & ~meet
-        y = free
-        while True:
-            if y <= lim:
-                t[p] = meet | y
-                o, rest = ap - (y << own), left - (y << cost)
-                if p > 1:
-                    down(p - 1, o, rest)
-                elif not o & rest:
-                    t[0] = o | rest
-                    # only t_(n+1) = y_n can be 0 at the end: then t_n >= a_n
-                    out.add(tuple(t) if t[n] else tuple(t[:n]))
-            if not y:
-                break
-            y = (y - 1) & free
+        for y in _submasks(min(ap >> own, left >> cost), meet):
+            t[p] = meet | y
+            down(p - 1, ap - (y << own), left - (y << cost))
 
     down(n, 0, k)
-    return frozenset(out)
+    return tuple(out)
+
+
+def _chain_terms(a: tuple[int, ...], k: int, sq_right: bool):
+    """The terms of ``_chain_product(a, k, sq_right)``, each once: y_1 drawn
+    from each state of the shared tail walk.  An empty a is the unit, whose
+    product is Sq(k)."""
+    if not a:
+        yield (k,) if k else ()
+        return
+    a1 = a[0]
+    own, cost = (1, 0) if sq_right else (0, 1)
+    for meet, left, rest in _chain_tail(a[1:], k, sq_right):
+        for y in _submasks(min(a1 >> own, left >> cost), meet):
+            o, r = a1 - (y << own), left - (y << cost)
+            if not o & r:
+                t2 = meet | y
+                yield (o | r, t2, *rest) if t2 or rest else (o | r,)
+
+
+def _submasks(lim: int, meet: int):
+    """Every y <= lim with no bit in common with meet, largest first."""
+    free = ((1 << lim.bit_length()) - 1) & ~meet
+    y = free
+    while True:
+        if y <= lim:
+            yield y
+        if not y:
+            return
+        y = (y - 1) & free
 
 
 def _term_coproduct(r: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -665,13 +695,18 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
     degree is its parent's plus its last letter's.  Right multiplication by
     ``gens[gi]`` xors one column per set bit, ``right[gi][d][bit]`` =
     term(d, bit) * gens[gi], each computed once and checked against the
-    ambient profile.  The queue holds one word per entry with its value,
-    memoised by prefix: value(w + (gi,)) = value(w) * gens[gi].  A word is
-    accepted only when its value is independent of its degree's span so
-    far, so no recorded word evaluates to zero; it records its parent word
-    and last letter, and each new echelon vector the word combination that
-    produced it.  The algebra keeps the columns and word records for
-    ``left`` and ``right_products``, per-degree spans over its sorted basis.
+    ambient profile.  For a generator Sq(k), as every A(n) generator is,
+    the column xors the terms of ``_chain_terms`` straight in: the walk
+    over a_2, ..., a_n (``_chain_tail``) is shared by the terms that
+    differ only in a_1, and each term takes only the step over y_1.  Other
+    generators (Q_s, sums) go through ``_term_product``.  The queue holds
+    one word per entry with its value, memoised by prefix: value(w + (gi,))
+    = value(w) * gens[gi].  A word is accepted only when its value is
+    independent of its degree's span so far, so no recorded word evaluates
+    to zero; it records its parent word and last letter, and each new
+    echelon vector the word combination that produced it.  The algebra
+    keeps the columns and word records for ``left`` and ``right_products``,
+    per-degree spans over its sorted basis.
     """
     gens = tuple(gens)
     for g in gens:
@@ -685,13 +720,22 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
     gdegs = [g.degree() for g in gens]
     right: list[dict[int, list]] = [{} for _ in gens]
 
+    chains = [0] * len(gens)  # k for a generator Sq(k), else 0
+    for gi, g in enumerate(gens):
+        if len(g.terms) == 1:
+            (s,) = g.terms
+            if len(s) == 1:
+                chains[gi] = s[0]
+
     def column(gi: int, d: int, bit: int) -> int:
+        a, k = terms[d][bit], chains[gi]
         col = 0
-        for s in gens[gi].terms:
-            for t in _term_product(terms[d][bit], s):
-                if t not in place:
-                    raise OutOfAmbientError(f"product escaped A({ambient}) at {_term_str(t)}")
-                col ^= place[t][1]
+        for t in (_chain_terms(a, k, True) if k else
+                  (t for s in gens[gi].terms for t in _term_product(a, s))):
+            hit = place.get(t)
+            if hit is None:
+                raise OutOfAmbientError(f"product escaped A({ambient}) at {_term_str(t)}")
+            col ^= hit[1]
         return col
 
     spans: dict[int, F2Span] = {}

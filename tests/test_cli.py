@@ -321,6 +321,30 @@ def test_induce_verb_takes_an_a1_fixture_up_to_a2(capsys):
     assert out == modfile.serialize_module(want, name="induced")
 
 
+@pytest.mark.parametrize("sub, dim", [("P11", 128), ("B", 64)])
+def test_induce_verb_takes_custom_subalgebras_in_the_algebra_ambient(capsys, sub, dim):
+    code, out, err = run(capsys, "induce", "--fixture", "A1modP11",
+                         "--algebra", "A(2)", "--sub", sub)
+    assert code == 0, err
+    b = {"P11": fixtures.algebra_P11, "B": fixtures.algebra_B}[sub](2)
+    want = md.induce(steenrod.A(2), b, fixtures.load_fixture("A1modP11"))
+    assert out == modfile.serialize_module(want, name="induced")
+    assert want.total_dim == dim and md.validate(want) == []
+
+
+def test_restrict_verb_takes_p11_in_the_module_ambient(tmp_path, capsys):
+    code, out, err = run(capsys, "double", "--fixture", "Joker")
+    assert code == 0, err
+    path = tmp_path / "joker2.mod"
+    path.write_text(out)
+    code, out, err = run(capsys, "restrict", "--file", str(path), "--sub", "P11")
+    assert code == 0, err
+    want = md.restrict(modfile.parse_module(path.read_text()), fixtures.algebra_P11(2))
+    assert want.total_dim == 5
+    assert out.startswith("# restricted over F2(P(1,1))")
+    assert out == cli._serialized(want, "restricted")
+
+
 def test_double_verb(capsys):
     code, out, _ = run(capsys, "double", "--fixture", "A0")
     assert code == 0

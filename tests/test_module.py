@@ -340,6 +340,13 @@ def test_induce_identity(A1, hz):
     assert iso_test(i, hz) is not None
 
 
+def test_induce_retags_a_module_over_a_smaller_ambient_copy_of_b():
+    m = fixtures.load_fixture("A1modP11")
+    p11 = fixtures.algebra_P11(2)
+    over_p11 = restrict(m, fixtures.algebra_P11())  # in ambient 1
+    assert induce(st.A(2), p11, over_p11).actions == induce(st.A(2), p11, m).actions
+
+
 def test_induce_trivial_module_gives_hopf_quotient(A1):
     a0 = st.A(0, 1)
     i = induce(A1, a0, trivial_module(a0))
