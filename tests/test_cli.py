@@ -151,6 +151,30 @@ def test_parse_error_reports_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_file_is_a_located_error(tmp_path, capsys):
+    p = tmp_path / "bad.mod"
+    p.write_bytes(b"module X over A(1)\ngenerator \xff degree 0\n")
+    code, out, err = run(capsys, "validate", "--file", str(p))
+    assert (code, out) == (1, "")
+    assert err == f"error: {p}: not UTF-8 text at line 2\n"
+
+
+def test_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    p = tmp_path / "bom.mod"
+    p.write_bytes(b"\xef\xbb\xbfmodule X over A(1)\ngenerator a degree 0\n")
+    assert run(capsys, "validate", "--file", str(p)) == (
+        0, "ok: 1-dimensional module over A(1)\n", "")
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path, capsys):
+    text = ("module X\u00e9 over A(1)\ngenerator a\u00e9 degree 0\ngenerator b degree 1\n"
+            "action Sq^1 a\u00e9 = b\n")
+    p, target = tmp_path / "accent.mod", tmp_path / "out.mod"
+    p.write_bytes(text.encode("utf-8"))
+    assert run(capsys, "define", "--file", str(p), "--out", str(target))[0] == 0
+    assert target.read_bytes().decode("utf-8") == text
+
+
 @pytest.mark.parametrize("text, line", [
     ("module X over A(9)\n", 1),
     ("module X over A(1)\ngenerator a degree 0\ngenerator b degree 1\n"

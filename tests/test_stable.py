@@ -2,7 +2,8 @@
 
 import hashlib
 import re
-from functools import reduce
+from functools import cache, reduce
+from itertools import chain
 from operator import xor
 from random import Random
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from stmod import fixtures, module as md, stable, steenrod as st
-from stmod.f2linalg import F2Matrix, rank, vec_support
+from stmod.f2linalg import F2Matrix, kernel_basis, rank, solve, vec_support
 from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
                           margolis_homology, quotient_by_left_ideal,
                           regular_module, suspend, tensor, trivial_module,
@@ -314,24 +315,42 @@ def test_hom_space_of_trivial(f2_a1):
 
 
 def reference_search(m, n, budget=40000, seed=2024):
-    """iso_test's candidate order, written out on the public hom_space:
-    single solutions, then ascending masks when all 2^h - 1 fit in the
-    budget, else Random(seed).getrandbits(h) draws.  Returns the data of
-    the first invertible candidate per degree and the branch taken."""
+    """iso_test's candidate order, written out on the public hom_space.
+
+    The 1x1 blocks give one equation each over the basis coefficients,
+    sum_i c_i phi_i[d] = 1.  Base is the solution supported on the leftmost
+    independent columns (``solve``) and the directions are the kernel
+    basis, one per free column.  Base comes first, then base plus each
+    single direction, then base plus the direction masks: (i * M) mod 2^k
+    for i = 1 .. 2^k - 1 (M the golden-ratio constant masked to k bits and
+    made odd, singles skipped) when all 2^k - 1 fit in the budget, else
+    Random(seed).getrandbits(k) draws.  Returns the data of the first
+    invertible candidate per degree, its direction mask (0 for base) and
+    the branch taken."""
     basis = hom_space(m, n)
     h = len(basis)
-    sweep = (1 << h) - 1 <= budget
-    masks = [1 << i for i in range(h)]
+    ones = [d for d, mat in basis[0].items() if (mat.rows, mat.cols) == (1, 1)]
+    eqs = F2Matrix.from_rows([sum(b[d].entry(0, 0) << i for i, b in enumerate(basis))
+                              for d in ones], h)
+    base = solve(eqs, (1 << len(ones)) - 1)
+    if base is None:
+        return None, None, True
+    dirs = kernel_basis(eqs)
+    k = len(dirs)
+    sweep = (1 << k) - 1 <= budget
+    masks = [0] + [1 << i for i in range(k)]
     if sweep:
-        masks += [k for k in range(1, 1 << h) if k & (k - 1)]
+        step = (0x9E3779B97F4A7C15 % 2 ** k) | 1
+        masks += [mask for mask in ((i * step) % 2 ** k for i in range(1, 2 ** k))
+                  if mask & (mask - 1)]
     else:
         rng = Random(seed)
-        masks += [rng.getrandbits(h) for _ in range(budget)]
+        masks += [mask for mask in (rng.getrandbits(k) for _ in range(budget)) if mask]
     for mask in masks:
-        if not mask:
-            continue
-        picked = [b for i, b in enumerate(basis) if mask >> i & 1]
-        data = {d: tuple(reduce(xor, cols) for cols in zip(*(b[d].columns for b in picked)))
+        coeffs = reduce(xor, (dirs[i] for i in vec_support(mask)), base)
+        picked = [b for i, b in enumerate(basis) if coeffs >> i & 1]
+        data = {d: tuple(reduce(xor, cols, 0) for cols in zip(*(b[d].columns for b in picked)))
+                if picked else (0,) * basis[0][d].cols
                 for d in basis[0]}
         if all(rank(F2Matrix.from_cols(cols, len(cols))) == len(cols)
                for cols in data.values()):
@@ -343,20 +362,82 @@ def map_data(f):
     return {d: mat.columns for d, mat in f.mats.items()}
 
 
-def test_iso_search_matches_reference_on_full_sweep():
-    small = [fixtures.load_fixture(name) for name in fixtures.fixture_names()]
-    small = [m for m in small if m.algebra.name == "A(1)" and m.total_dim <= 5]
-    beyond_singles = 0
+@cache
+def comparison_set():
+    """The pairs the isomorphism search is checked on: each fixture's
+    dual against the suspensions of it with matching dimensions, the
+    tensor products x (x) y and y (x) x of the A(1) fixtures of dimension
+    at most 8, and every fixture against itself."""
+    mods = [fixtures.load_fixture(name) for name in fixtures.fixture_names()]
+    duals, swaps = [], []
+    for m in mods:
+        dm = dual(m)
+        for k in range(min(dm.degrees()) - max(m.degrees()),
+                       max(dm.degrees()) - min(m.degrees()) + 1):
+            if {d + k: v for d, v in m.dims().items()} == dm.dims():
+                duals.append((dm, suspend(m, k)))
+    small = [m for m in mods if m.algebra.name == "A(1)" and m.total_dim <= 8]
     for i, x in enumerate(small):
         for y in small[i + 1:]:
-            a, b = tensor(x, y), tensor(y, x)
-            if len(hom_space(a, b)) > 15:
-                continue
-            want, mask, sweep = reference_search(a, b)
-            assert sweep and want is not None
-            assert map_data(iso_test(a, b)) == want
-            beyond_singles += mask & (mask - 1) != 0
-    assert beyond_singles >= 5
+            swaps.append((tensor(x, y), tensor(y, x)))
+    return duals, swaps, [(m, m) for m in mods]
+
+
+def test_comparison_set_sizes():
+    assert [len(pairs) for pairs in comparison_set()] == [14, 276, 27]
+
+
+def test_iso_search_matches_reference_on_full_sweep():
+    # the swaps whose restricted space is probed are checked as well
+    swept = beyond_singles = 0
+    for a, b in comparison_set()[1]:
+        want, mask, sweep = reference_search(a, b)
+        assert want is not None
+        assert map_data(iso_test(a, b)) == want
+        swept += sweep
+        beyond_singles += sweep and mask & (mask - 1) != 0
+    assert swept >= 250 and beyond_singles >= 5
+
+
+def test_iso_search_finds_a_map_iff_one_exists():
+    # order-free: brute force over every combination of the hom basis
+    checked = 0
+    for a, b in chain(*comparison_set()):
+        sols, blocks = stable._hom_solutions(a, b)
+        if len(sols) > 12:
+            continue
+        invertible = stable._invertibility_test(blocks)
+        v, exists = 0, invertible(0)
+        for i in range(1, 1 << len(sols)):
+            v ^= sols[(i & -i).bit_length() - 1]  # Gray code order
+            if invertible(v):
+                exists = True
+                break
+        f = iso_test(a, b)
+        assert (f is not None) == exists
+        assert f is None or f.is_bijective()
+        checked += 1
+    assert checked >= 250
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.lists(hst.sampled_from([(1, 1), (1, 1), (2, 2), (3, 3)]), min_size=1, max_size=8),
+       hst.lists(hst.integers(0, 2 ** 72 - 1), max_size=10))
+def test_restriction_is_the_maps_with_every_1x1_bit_set(shapes, sols):
+    blocks, off = [], 0
+    for d, (rows, cols) in enumerate(shapes):
+        blocks.append((d, off, rows, cols))
+        off += rows * cols
+    ones = [o for _, o, rows, cols in blocks if rows == cols == 1]
+    combos = {reduce(xor, (sols[i] for i in vec_support(mask)), 0)
+              for mask in range(1 << len(sols))}
+    want = {v for v in combos if all(v >> o & 1 for o in ones)}
+    got = stable._restrict(sols, blocks)
+    assert (got is None) == (not want)
+    if got is not None:
+        base, dirs = got
+        assert {reduce(xor, (dirs[i] for i in vec_support(mask)), base)
+                for mask in range(1 << len(dirs))} == want
 
 
 def so8_dual_pair():
@@ -434,12 +515,6 @@ def test_selfdual_shifts_match_displayed_values(joker, hz, a1_regular):
     assert selfdual_shift(fixtures.load_fixture("A1modP11")) == 3
 
 
-def test_selfdual_b_quotient():
-    m = fixtures.load_fixture("A1modSq2P11")
-    assert selfdual_shift(m) == 1
-    assert selfdual_shift(m, stable=True) == 1
-
-
 def test_question_mark_not_selfdual():
     qm = fixtures.load_fixture("QuestionMark")
     assert selfdual_shift(qm) is None
@@ -456,9 +531,30 @@ def test_hopf_quotient_shift_formula(A1, A2):
         assert selfdual_shift(q) == want, (h.name, k.name)
 
 
-def test_so8_fixture_selfdual():
-    m = fixtures.load_fixture("SO8modSp2")
-    assert selfdual_shift(m) == 18
+#: (selfdual_shift(M), selfdual_shift(M, stable=True)) for every fixture
+SELFDUAL_SHIFTS = {
+    "A0": (1, 0), "A1": (6, 0), "A1modP11": (3, 3), "A1modSq1Sq2": (4, 4),
+    "A1modSq1Sq2Sq1": (None, None), "A1modSq1Sq2Sq1Sq2": (None, None),
+    "A1modSq1Sq2Sq1_Sq2Sq1Sq2": (None, None), "A1modSq1Sq2_Sq1Sq2Sq1": (None, None),
+    "A1modSq1Sq2_Sq2Sq1": (None, None), "A1modSq2P11": (1, 1),
+    "A1modSq2Sq1": (None, None), "A1modSq2Sq1Sq2": (None, None),
+    "A1modSq2Sq1_Sq2Sq1Sq2": (None, None), "DI1": (None, None), "E1": (4, 0),
+    "F2": (0, 0), "HZ": (5, 5), "I1": (None, None), "Joker": (0, 0),
+    "Omega2InvJoker": (None, None), "Omega2Joker": (None, None),
+    "OmegaInvJoker": (None, None), "OmegaJoker": (None, None),
+    "QuestionMark": (None, None), "QuestionMarkUpside": (None, None),
+    "SO8modSp2": (18, 18), "kU": (2, 2),
+}
+
+
+def test_selfdual_table_covers_the_fixtures():
+    assert sorted(SELFDUAL_SHIFTS) == sorted(fixtures.fixture_names())
+
+
+@pytest.mark.parametrize("name", sorted(SELFDUAL_SHIFTS))
+def test_selfdual_shifts_are_pinned(name):
+    m = fixtures.load_fixture(name)
+    assert (selfdual_shift(m), selfdual_shift(m, stable=True)) == SELFDUAL_SHIFTS[name]
 
 
 # ---------------------------------------------------------------------------
