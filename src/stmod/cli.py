@@ -135,9 +135,7 @@ def cmd_validate(args) -> int:
     m = _load(args)
     bad = md.validate(m)
     if args.json:
-        print(json.dumps({"verb": "validate", "inputs": _inputs(args),
-                          "result": {"ok": not bad, "violations": bad},
-                          "certificate": bad}, sort_keys=True))
+        _envelope("validate", _inputs(args), {"ok": not bad, "violations": bad}, bad)
         return 0 if not bad else 1
     if bad:
         for b in bad:
@@ -248,10 +246,8 @@ def cmd_check_selfdual(args) -> int:
     except stable.InconclusiveIsomorphism as exc:
         raise DomainError(f"inconclusive: {exc}")
     if args.json:
-        print(json.dumps({"verb": "check-selfdual", "inputs": _inputs(args),
-                          "result": {"self_dual": shift is not None,
-                                     "shift": shift},
-                          "certificate": shift}, sort_keys=True))
+        _envelope("check-selfdual", _inputs(args),
+                  {"self_dual": shift is not None, "shift": shift}, shift)
         return 0
     if shift is None:
         print("not self-dual")
@@ -309,13 +305,10 @@ def cmd_spin_check(args) -> int:
         basis = "a"
     rho_str = _format_vector(report.rho, basis)
     if args.json:
-        print(json.dumps({
-            "verb": "spin-check", "inputs": _inputs(args),
-            "result": {"group": report.group, "form": report.form,
-                       "spin": report.in_lattice,
-                       "rho": [str(c) for c in report.rho]},
-            "certificate": [str(c) for c in report.certificate],
-        }, sort_keys=True))
+        _envelope("spin-check", _inputs(args),
+                  {"group": report.group, "form": report.form, "spin": report.in_lattice,
+                   "rho": [str(c) for c in report.rho]},
+                  [str(c) for c in report.certificate])
         return 0
     if report.in_lattice:
         print(f"SPIN: rho = {rho_str} in {lattice}")
@@ -338,9 +331,7 @@ def cmd_fixtures(args) -> int:
     names = fixtures.fixture_names()
     if not args.verify:
         if args.json:
-            print(json.dumps({"verb": "fixtures", "inputs": {},
-                              "result": names, "certificate": None},
-                             sort_keys=True))
+            _envelope("fixtures", {}, names, None)
             return 0
         for name in names:
             m = fixtures.load_fixture(name)
@@ -350,13 +341,18 @@ def cmd_fixtures(args) -> int:
     problems = {name: fixtures.verify_fixture(name) for name in names}
     failed = {name: ps for name, ps in problems.items() if ps}
     if args.json:
-        print(json.dumps({"verb": "fixtures", "inputs": {"verify": True},
-                          "result": {"ok": not failed, "problems": problems},
-                          "certificate": failed}, sort_keys=True))
+        _envelope("fixtures", {"verify": True}, {"ok": not failed, "problems": problems},
+                  failed)
     else:
         for name, ps in problems.items():
             print("\n".join(f"FAIL {name}: {p}" for p in ps) or f"ok   {name}")
     return 1 if failed else 0
+
+
+def _envelope(verb: str, inputs: dict, result, certificate):
+    """Print the one-line ``--json`` output every verb shares."""
+    print(json.dumps({"verb": verb, "inputs": inputs, "result": result,
+                      "certificate": certificate}, sort_keys=True))
 
 
 def _inputs(args) -> dict:

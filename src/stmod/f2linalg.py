@@ -8,13 +8,13 @@ on matrices with zero rows or zero columns.
 There is one elimination routine, ``F2Span``: echelon vectors keyed by
 their lowest set bit, each carrying an int combo of the vectors it was
 built from.  ``eliminate`` feeds it a matrix's columns in order, and
-``rref``, ``kernel_basis``, ``solve`` and ``solve_matrix`` are built on
-that one pass.  Every answer is canonical, so none depends on the order
-of the rows: a reduced vector is the unique element of its coset with no
-pivot bit set, ``rref`` pivots are the leftmost nonzero columns, a
-solution is the unique one supported on the greedy (leftmost) independent
-columns, and the kernel vector of each other column f is e_f plus the
-unique combination of greedy columns left of f.
+``rref``, ``kernel_basis`` and ``solve_matrix`` are built on that one
+pass.  Every answer is canonical, so none depends on the order of the
+rows: a reduced vector is the unique element of its coset with no pivot
+bit set, ``rref`` pivots are the leftmost nonzero columns, a solution is
+the unique one supported on the greedy (leftmost) independent columns,
+and the kernel vector of each other column f is e_f plus the unique
+combination of greedy columns left of f.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class F2Matrix(Value, frozen=True):
         """Build a matrix from packed column vectors."""
         cols = tuple(cols)
         return F2Matrix(rows, len(cols), cols)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.columns[j] >> i) & 1
 
     def to_dense(self) -> list[list[int]]:
         return [[(c >> i) & 1 for c in self.columns] for i in range(self.rows)]
@@ -168,9 +165,6 @@ class F2Span:
         self._mask |= low
         return True
 
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec)[0] == 0
-
 
 def eliminate(cols: list[int]) -> tuple[F2Span, list[int]]:
     """One elimination of the augmented matrix [cols | I].
@@ -229,18 +223,10 @@ def kernel_basis(m: F2Matrix) -> list[int]:
     return eliminate(m.columns)[1]
 
 
-def solve(m: F2Matrix, b: int) -> int | None:
-    """The solution x of m @ x = b supported on the leftmost independent
-    columns of m, or None when the system is inconsistent."""
-    if b >> m.rows:
-        raise ValueError("right-hand side has entries outside the row range")
-    residual, x = eliminate(m.columns)[0].reduce(b)
-    return None if residual else x
-
-
 def solve_matrix(m: F2Matrix, b: F2Matrix) -> F2Matrix | None:
-    """Solve m @ X = b columnwise, as ``solve`` would, from one elimination
-    of m; None when any column is inconsistent."""
+    """Solve m @ X = b columnwise from one elimination of m, each column's
+    solution supported on the leftmost independent columns of m; None when
+    any column is inconsistent."""
     if m.rows != b.rows:
         raise ValueError("row mismatch in matrix solve")
     span = eliminate(m.columns)[0]

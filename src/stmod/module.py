@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .f2linalg import F2Matrix, F2Span, apply_cols, rref, vec_support
+from .f2linalg import F2Matrix, F2Span, apply_cols, rank, vec_support
 from . import steenrod
 from .steenrod import SteenrodElt, SubHopfAlgebra
 
@@ -287,7 +287,7 @@ class ModuleMap:
         degs = set(self.source.degrees()) | {d - self.shift for d in self.target.degrees()}
         for d in degs:
             m = self.mat(d)
-            if m.rows != m.cols or rref(m)[1] != m.rows:
+            if m.rows != m.cols or rank(m) != m.rows:
                 return False
         return True
 
@@ -671,7 +671,7 @@ def margolis_homology(m: GradedModule, s: int) -> dict[int, int]:
     for d, mat in mats.items():
         if any(apply_cols(m.element_op(q, d + shift), c) for c in mat.columns):
             raise ArithmeticError(f"Q_{s} does not square to zero on this module")
-    ranks = {d: rref(mat)[1] for d, mat in mats.items()}
+    ranks = {d: rank(mat) for d, mat in mats.items()}
     out = {}
     for d, mat in mats.items():
         ker = mat.cols - ranks[d]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import chain
 from random import Random
 
-from .f2linalg import F2Matrix, F2Span, apply_cols, eliminate, kernel_basis, rref
+from .f2linalg import F2Matrix, F2Span, apply_cols, eliminate, kernel_basis, rank, rref
 from . import steenrod
 from .module import (GradedModule, ModuleMap, _free_quotient, aug_ideal_module,
                      direct_sum, dual, margolis_homology, suspend, tensor)
@@ -169,40 +169,41 @@ def _hom_solutions(m: GradedModule, n: GradedModule) -> tuple[list[int], list[tu
     Returns (solutions, blocks): the ``kernel_basis`` of the system, one int
     per solution over all unknowns, and (degree, offset, rows, cols) for
     each nonzero block phi_d, whose row r sits at bits offset + r*cols on.
+    The system has one packed column per unknown.  Constraint (g, d, R, C),
+    entry (R, C) of an @ phi_d + phi_(d+g) @ am, sits at bit height +
+    R*dim m_d + C, height counting the constraints before its (g, d).
+    Entry (r, c) of phi_d meets column r of an, spread at stride dim m_d
+    and shifted by c; entry (r, k) of phi_(d+g) meets row k of am, shifted
+    by r*dim m_d.  The kernel basis ignores constraint order and zero rows.
     """
     if m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
     degs = sorted(set(m.degrees()) | set(n.degrees()))
-    offsets = {}
-    total = 0
+    offsets, total = {}, 0
     for d in degs:
         offsets[d] = total
         total += m.dim(d) * n.dim(d)
     if total == 0:
         return [], []
-
-    def unknown(d, row, col):  # entry (row, col) of phi_d
-        return offsets[d] + row * m.dim(d) + col
-
-    rows = []
+    cols, height = [0] * total, 0
     for gi, g in enumerate(m.algebra.gen_degrees):
         for d in degs:
-            am = m.action(gi, d)          # m_d -> m_{d+g}
-            an = n.action(gi, d)          # n_d -> n_{d+g}
-            # constraint: an @ phi_d = phi_{d+g} @ am   entrywise
-            for r in range(n.dim(d + g)):
-                for c in range(m.dim(d)):
-                    row = 0
-                    for k in range(n.dim(d)):
-                        if an.entry(r, k):
-                            row ^= 1 << unknown(d, k, c)
-                    for k in range(m.dim(d + g)):
-                        if am.entry(k, c):
-                            row ^= 1 << unknown(d + g, r, k)
-                    if row:
-                        rows.append(row)
+            width, rows = m.dim(d), n.dim(d + g)
+            if not (width and rows):
+                continue
+            at = offsets[d]
+            for an_col in n.columns(gi, d):
+                spread = sum(1 << (height + R * width) for R in range(rows) if an_col >> R & 1)
+                for c in range(width):
+                    cols[at + c] ^= spread << c
+                at += width
+            above, stride = offsets[d + g], m.dim(d + g)
+            for k, am_row in enumerate(m.action(gi, d).transpose().columns):
+                for r in range(rows):
+                    cols[above + r * stride + k] ^= am_row << (height + r * width)
+            height += rows * width
     blocks = [(d, offsets[d], n.dim(d), m.dim(d)) for d in degs if m.dim(d) and n.dim(d)]
-    return kernel_basis(F2Matrix.from_rows(rows, total)), blocks
+    return kernel_basis(F2Matrix(height, total, tuple(cols))), blocks
 
 
 def _unpack(v: int, blocks) -> dict[int, F2Matrix]:
@@ -415,8 +416,8 @@ def check_exact(maps: list[ModuleMap]) -> tuple[int, int, str] | None:
             return (i, 0, "composite is nonzero")
         mid = outgoing.source
         for d in mid.degrees():
-            rk_out = rref(outgoing.mat(d))[1]
-            rk_in = rref(incoming.mat(d - incoming.shift))[1]
+            rk_out = rank(outgoing.mat(d))
+            rk_in = rank(incoming.mat(d - incoming.shift))
             if rk_out + rk_in != mid.dim(d):
                 return (i, d, f"im+ker mismatch: rank in {rk_in} + rank out "
                               f"{rk_out} != dim {mid.dim(d)}")

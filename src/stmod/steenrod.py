@@ -532,16 +532,21 @@ class SubHopfAlgebra:
             self._mult_table[key] = hit
         return hit
 
+    def words(self, e: SteenrodElt) -> frozenset[Word]:
+        """Words summing to e: its decomposition's expressions, summed mod 2."""
+        out: frozenset[Word] = frozenset()
+        for i in self.decompose(e):
+            out ^= self.expressions[i]
+        return out
+
     def right_products(self, x: SteenrodElt) -> list[int]:
         """basis[j] * x for every j, packed as in ``left``, 0 past the top
         degree, x homogeneous or zero: basis[j]'s Milnor vector runs through
-        the right columns along each word of x's expressions, then one
+        the right columns along each word of ``words(x)``, then one
         reduction in its degree's span.  Exact as ``left`` is, since every
         prefix product lies in a span.  ValueError when x is not in the algebra.
         """
-        words: frozenset[Word] = frozenset()
-        for i in self.decompose(x):
-            words ^= self.expressions[i]
+        words = self.words(x)
         out = [0] * self.dim
         if not words:
             return out
@@ -679,9 +684,6 @@ class SubHopfAlgebra:
                 f"{self.name} has a {len(top)}-dimensional top degree")
         return self.basis[top[0]]
 
-    def evaluate_word(self, word: Word) -> SteenrodElt:
-        return _word_value(self.generators, self.ambient, word)
-
     def word_string(self, word: Word) -> str:
         return "1" if not word else "".join(self.gen_names[g] for g in word)
 
@@ -815,43 +817,33 @@ def A(n: int, ambient: int | None = None) -> SubHopfAlgebra:
     a larger ambient embeds A(n) in A(ambient).  Each algebra is built once:
     A(n) and A(n, n) are the same object.
     """
-    return _A(n, n if ambient is None else ambient)
-
-
-@lru_cache(maxsize=None)
-def _A(n: int, ambient: int) -> SubHopfAlgebra:
-    if not 0 <= n <= ambient:
-        raise ValueError("need 0 <= n <= ambient")
-    if ambient > MAX_AMBIENT:
-        raise ValueError(
-            f"A({ambient}) is disabled by default (dim 2^((n+1)(n+2)/2)); "
-            "raise stmod.steenrod.MAX_AMBIENT to construct it anyway")
-    gens = tuple(sq(2 ** i, ambient) for i in range(n + 1))
-    names = tuple(f"Sq^{2**i}" for i in range(n + 1))
-    label = f"A({n})" if ambient == n else f"A({n})<A({ambient})"
-    return subalgebra_closure(gens, ambient, names=names, name=label,
-                              kind="A", kind_param=n)
+    return _preset("A", n, n if ambient is None else ambient)
 
 
 def E(n: int, ambient: int | None = None) -> SubHopfAlgebra:
     """The exterior subalgebra E(n) on the Milnor primitives Q_0, ..., Q_n,
     built once: E(n) and E(n, n) are the same object."""
-    return _E(n, n if ambient is None else ambient)
+    return _preset("E", n, n if ambient is None else ambient)
 
 
 @lru_cache(maxsize=None)
-def _E(n: int, ambient: int) -> SubHopfAlgebra:
+def _preset(kind: str, n: int, ambient: int) -> SubHopfAlgebra:
+    """A(n) (kind "A") or E(n) (kind "E") inside A(ambient)."""
     if not 0 <= n <= ambient:
         raise ValueError("need 0 <= n <= ambient")
     if ambient > MAX_AMBIENT:
-        raise ValueError(
-            f"E({n}) inside A({ambient}) is disabled by default; "
-            "raise stmod.steenrod.MAX_AMBIENT to construct it anyway")
-    gens = tuple(milnor_primitive(s, ambient) for s in range(n + 1))
-    names = tuple(f"P(1,{s})" for s in range(n + 1))
-    label = f"E({n})" if ambient == n else f"E({n})<A({ambient})"
+        what = (f"A({ambient}) is disabled by default (dim 2^((n+1)(n+2)/2))" if kind == "A"
+                else f"E({n}) inside A({ambient}) is disabled by default")
+        raise ValueError(f"{what}; raise stmod.steenrod.MAX_AMBIENT to construct it anyway")
+    if kind == "A":
+        gens = tuple(sq(2 ** i, ambient) for i in range(n + 1))
+        names = tuple(f"Sq^{2**i}" for i in range(n + 1))
+    else:
+        gens = tuple(milnor_primitive(s, ambient) for s in range(n + 1))
+        names = tuple(f"P(1,{s})" for s in range(n + 1))
+    label = f"{kind}({n})" if ambient == n else f"{kind}({n})<A({ambient})"
     return subalgebra_closure(gens, ambient, names=names, name=label,
-                              kind="E", kind_param=n)
+                              kind=kind, kind_param=n)
 
 
 # ---------------------------------------------------------------------------
@@ -891,18 +883,6 @@ def _relation_label(words) -> str:
     return " + ".join(_word_label(w) for w in ws)
 
 
-def _express_in_lower(e: SteenrodElt, bound: int, ambient: int) -> frozenset[Word]:
-    """Express e, an element of A(bound), as words in Sq^1..Sq^{2^bound}."""
-    if e.is_zero():
-        return frozenset()
-    alg = A(bound, ambient)
-    combo = alg.decompose(e)
-    expr: frozenset[Word] = frozenset()
-    for i in combo:
-        expr = expr ^ alg.expressions[i]
-    return expr
-
-
 @lru_cache(maxsize=None)
 def wall_relations(n: int) -> tuple[WallRelation, ...]:
     """The minimal relation set among the generators Sq^{2^i} of A(n).
@@ -926,13 +906,14 @@ def wall_relations(n: int) -> tuple[WallRelation, ...]:
             value = value + _word_value(gens, n, w)
         kept = [w for w in lead
                 if not any(w[i] == w[i + 1] == 0 for i in range(len(w) - 1))]
-        words = frozenset(kept) ^ _express_in_lower(value, t - 1, n)
+        # value is 0 at t = 1 (Sq^2Sq^2 = Sq^1Sq^2Sq^1), where A(0) need not be built
+        words = frozenset(kept) ^ (A(t - 1, n).words(value) if value.terms else frozenset())
         rels.append(WallRelation(n, words, _relation_label(words)))
     for r in range(2, n + 1):
         for s in range(0, r - 1):
             lead = [(r, s), (s, r)]
             value = _word_value(gens, n, (r, s)) + _word_value(gens, n, (s, r))
-            words = frozenset(lead) ^ _express_in_lower(value, r - 1, n)
+            words = frozenset(lead) ^ A(r - 1, n).words(value)
             rels.append(WallRelation(n, words, _relation_label(words)))
     return tuple(rels)
 

@@ -633,7 +633,7 @@ def test_cyclic_map_construction(A1, f2_a1):
     hz = hopf_quotient(A1, st.A(0, 1))
     f = ModuleMap.from_cyclic(hz, f2_a1, 1, 0)
     assert not f.is_zero()
-    assert f.mat(0).entry(0, 0) == 1
+    assert f.mat(0).columns == (1,)
     loaded = ModuleMap.from_cyclic(fixtures.load_fixture("HZ"), f2_a1, 1, 0)
     assert loaded.mats == f.mats
     # SO8modSp2 is one-dimensional in degree 0 but not generated there

@@ -353,7 +353,7 @@ def indecomposables(alg, d):
             for j in alg.basis_by_degree(d - x.degree()):
                 decomposables.add(sum(1 << ids.index(k)
                                       for k in alg.decompose(x * alg.basis[j])))
-    return lambda packed: not decomposables.contains(packed)
+    return lambda packed: decomposables.reduce(packed)[0] != 0
 
 
 def h_k_oracle(res, d, is_indecomposable, s, t):

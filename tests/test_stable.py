@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from stmod import fixtures, module as md, stable, steenrod as st
-from stmod.f2linalg import F2Matrix, kernel_basis, rank, solve, vec_support
+from stmod.f2linalg import F2Matrix, kernel_basis, rank, solve_matrix, vec_support
 from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
                           margolis_homology, quotient_by_left_ideal,
                           regular_module, suspend, tensor, trivial_module,
                           ModuleMap)
-from stmod.resolve import ext_chart
+from stmod.resolve import ext_chart, ext_groups
 from stmod.stable import (InconclusiveIsomorphism, _candidates, _unpack, check_exact,
                           hom_space, iso_test, loop, oloop, reduce_module,
                           selfdual_shift)
@@ -319,7 +319,7 @@ def reference_search(m, n, budget=40000, seed=2024):
 
     The 1x1 blocks give one equation each over the basis coefficients,
     sum_i c_i phi_i[d] = 1.  Base is the solution supported on the leftmost
-    independent columns (``solve``) and the directions are the kernel
+    independent columns (``solve_matrix``) and the directions are the kernel
     basis, one per free column.  Base comes first, then base plus each
     single direction, then base plus the direction masks: (i * M) mod 2^k
     for i = 1 .. 2^k - 1 (M the golden-ratio constant masked to k bits and
@@ -330,11 +330,12 @@ def reference_search(m, n, budget=40000, seed=2024):
     basis = hom_space(m, n)
     h = len(basis)
     ones = [d for d, mat in basis[0].items() if (mat.rows, mat.cols) == (1, 1)]
-    eqs = F2Matrix.from_rows([sum(b[d].entry(0, 0) << i for i, b in enumerate(basis))
+    eqs = F2Matrix.from_rows([sum(b[d].columns[0] << i for i, b in enumerate(basis))
                               for d in ones], h)
-    base = solve(eqs, (1 << len(ones)) - 1)
+    base = solve_matrix(eqs, F2Matrix(len(ones), 1, ((1 << len(ones)) - 1,)))
     if base is None:
         return None, None, True
+    base = base.columns[0]
     dirs = kernel_basis(eqs)
     k = len(dirs)
     sweep = (1 << k) - 1 <= budget
@@ -501,6 +502,24 @@ def test_hom_space_elements_are_module_maps(joker, hz):
         assert basis
         for mats in basis:
             assert ModuleMap(m, n, mats)._equivariance_defect() is None
+
+
+def test_hom_dimension_is_ext_00():
+    """dim Hom(m, n) from the intertwining system is Ext^{0,0}(m, n) from
+    the Hom complex of m's resolution, which shares no code with it: for
+    every pair of fixtures over one algebra, n suspended by k = -2..2, and
+    three larger pairs, Joker (x) SO8modSp2 against its swap, D(SO8modSp2)
+    against SO8modSp2[-18] and Joker^2 against itself."""
+    mods = [fixtures.load_fixture(name) for name in fixtures.fixture_names()]
+    pairs = [(m, suspend(n, k)) for m in mods for n in mods if m.algebra == n.algebra
+             for k in range(-2, 3)]
+    joker, so8 = fixtures.load_fixture("Joker"), fixtures.load_fixture("SO8modSp2")
+    pairs += [(tensor(joker, so8), tensor(so8, joker)),
+              (dual(so8), suspend(so8, -18)), (tensor(joker, joker),) * 2]
+    dims = [len(hom_space(m, n)) for m, n in pairs]
+    assert dims == [ext_groups(m, n, 0, 0).get(0, 0) for m, n in pairs]
+    assert dims[-3:] == [181, 22, 7]
+    assert len(pairs) == 3138 and sum(map(bool, dims)) == 944
 
 
 # ---------------------------------------------------------------------------

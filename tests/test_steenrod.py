@@ -409,7 +409,7 @@ def test_expressions_evaluate_back():
         for i, b in enumerate(alg.basis):
             acc = zero(alg.ambient)
             for word in alg.expressions[i]:
-                acc = acc + alg.evaluate_word(word)
+                acc = acc + st._word_value(alg.generators, alg.ambient, word)
             assert acc.terms == b.terms, (alg.name, i)
 
 
@@ -543,7 +543,7 @@ def test_a3_expressions_evaluate_back_on_a_sample():
     for i in random.Random(6).sample(range(alg.dim), 48):
         acc = zero(3)
         for word in alg.expressions[i]:
-            value = alg.evaluate_word(word)
+            value = st._word_value(alg.generators, alg.ambient, word)
             assert not value.is_zero(), (i, word)
             acc = acc + value
         assert acc.terms == alg.basis[i].terms, i
