@@ -108,11 +108,11 @@ def _serialized(m: md.GradedModule, name: str) -> str:
     try:
         return modfile.serialize_module(m, name=name)
     except modfile.ModuleFileError:
-        # custom subalgebras have no file token; emit a readable summary
+        # custom subalgebras have no file token, and some labels no file
+        # spelling; emit a readable summary
         lines = [f"# {name} over {m.algebra.name} (outside the file grammar)",
                  f"# dims: {m.dims()}"]
-        for gname, src, targets in modfile.action_entries(m):
-            lines.append(f"# {gname}: {src} -> " + " + ".join(targets))
+        lines += modfile.action_lines(m, "# {}: ", " -> ")
         return "\n".join(lines) + "\n"
 
 

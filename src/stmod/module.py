@@ -95,8 +95,10 @@ class GradedModule:
         return mat
 
     def columns(self, gi: int, d: int) -> tuple[int, ...]:
-        """The columns of ``action(gi, d)`` as packed vectors."""
-        return self.action(gi, d).columns
+        """The columns of ``action(gi, d)`` as packed vectors, read from the
+        stored matrix, or zeros where none is stored."""
+        mat = self.actions.get(gi, {}).get(d)
+        return (0,) * self.dim(d) if mat is None else mat.columns
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedModule)

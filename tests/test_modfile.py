@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from stmod import fixtures, modfile, steenrod as st
+from stmod import cli, fixtures, modfile, steenrod as st
 from stmod.modfile import ModuleFileError, parse_algebra, parse_module, \
     serialize_module
-from stmod.module import dual, validate
-from stmod.stable import iso_test
+from stmod.module import GradedModule, direct_sum, dual, tensor, validate
+from stmod.stable import iso_test, loop
 
 JOKER_TEXT = """
 # a comment line
@@ -41,14 +41,29 @@ def test_parse_algebra_tokens():
     assert parse_algebra("A(1)").name == "A(1)"
     assert parse_algebra("A1").name == "A(1)"
     assert parse_algebra("E(2)").name == "E(2)"
-    with pytest.raises(ModuleFileError):
-        parse_algebra("Q(1)")
+    assert parse_algebra("E2").name == "E(2)"
+    for token in ("Q(1)", "A(1", "A1)", "A((1))", "A()", "A", "(1)", "E(2", "E2)"):
+        with pytest.raises(ModuleFileError):
+            parse_algebra(token)
+    # both parentheses or neither; the error stays on the header line
+    for token in ("A(1", "A1)"):
+        err = _located_error(f"# header below\nmodule X over {token}\ngenerator a degree 0\n")
+        assert (str(err), err.line) == (f"unknown algebra {token!r} (line 2)", 2)
 
 
 def test_omitted_actions_are_zero():
     m = parse_module("module X over A(1)\ngenerator a degree 0\n")
     assert m.dims() == {0: 1}
     assert m.actions == {}
+
+
+def test_bad_degree_column_is_the_degree_token():
+    # the label has the same text as the degree token and comes first
+    err = _located_error("module X over A(1)\ngenerator ab degree ab\n")
+    assert (str(err), err.line, err.column) == ("bad degree 'ab' (line 2, column 20)", 2, 20)
+    # columns count within the line as written, indentation included
+    err = _located_error("module X over A(1)\n\tgenerator ab degree ab\n")
+    assert (err.line, err.column) == (2, 21)
 
 
 def test_error_reports_line_numbers():
@@ -182,6 +197,145 @@ def test_second_module_header_is_rejected():
     err = _located_error("module X over A(2)\ngenerator a degree 0\ngenerator b degree 4\n"
                          "action Sq^4 a = b\nmodule X over A(1)\n")
     assert err.line == 5 and "second module header" in str(err)
+
+
+SPACING_BASE = """module S over A(1)
+generator a degree 0
+generator b degree 1
+generator c degree 2
+generator d degree 2
+generator e degree 3
+action Sq^1 a = b
+action Sq^1 c = e
+action Sq^2 a = c + d
+action Sq^2 b = e
+"""
+SPACING_VARIANTS = {
+    "unspaced =": ("action Sq^1 a = b", "action Sq^1 a=b"),
+    "half-spaced sum": ("action Sq^2 a = c + d", "action Sq^2 a =c+ d"),
+    "unspaced sum": ("action Sq^2 a = c + d", "action Sq^2 a=c+d"),
+    "tabs": ("generator b degree 1", "generator\tb\t degree\t1\t"),
+    "tab-separated action": ("action Sq^2 b = e", "action\tSq^2\tb\t=\te"),
+    "indented": ("generator c degree 2", "   generator c degree 2"),
+    "trailing comment": ("action Sq^1 c = e", "action Sq^1 c = e  # the top cell"),
+    "unspaced comment": ("generator e degree 3", "generator e degree 3#top"),
+    "comment after header": ("module S over A(1)", "module S over A(1) # A(1)-module"),
+    "blank lines": ("generator d degree 2\n", "generator d degree 2\n\n   \n\t\n"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SPACING_VARIANTS))
+def test_spacing_variants_parse_alike(variant):
+    old, new = SPACING_VARIANTS[variant]
+    text = SPACING_BASE.replace(old, new)
+    assert text != SPACING_BASE
+    want = parse_module(SPACING_BASE)
+    for form in (text, text.replace("\n", "\r\n")):
+        got = parse_module(form)
+        assert got == want and got.meta == want.meta
+        assert serialize_module(got) == SPACING_BASE
+
+
+_H = "module X over A(1)\n"
+_AB = _H + "generator a degree 0\ngenerator b degree 1\n"
+# (file, message with its location, line, column)
+LOCATED_ERRORS = [
+    ("", "missing module header", None, None),
+    ("# only a comment\n", "missing module header", None, None),
+    ("generator a degree 0\n", "generator line before module header (line 1)", 1, None),
+    ("action Sq^1 a = b\n", "action line before module header (line 1)", 1, None),
+    (_H + "module Y over A(1)\n", "second module header (line 2)", 2, None),
+    ("module X over\n", "expected: module <name> over <algebra> (line 1)", 1, None),
+    ("module X under A(1)\n", "expected: module <name> over <algebra> (line 1)", 1, None),
+    ("module X over Q(1)\n", "unknown algebra 'Q(1)' (line 1)", 1, None),
+    ("module X over A((1))\n", "unknown algebra 'A((1))' (line 1)", 1, None),
+    (_H + "generator a degree zero\n", "bad degree 'zero' (line 2, column 19)", 2, 19),
+    (_H + "generator a degree 0\naction Sq^1 a = q\ngenerator b degree x\n",
+     "bad degree 'x' (line 4, column 19)", 4, 19),
+    (_H + "generator a degree\n", "expected: generator <label> degree <d> (line 2)", 2, None),
+    (_H + "generator a deg 0\n", "expected: generator <label> degree <d> (line 2)", 2, None),
+    (_H + "generator a degree 0\ngenerator a degree 1\n", "duplicate basis label a (line 3)", 3,
+     None),
+    (_H + "generator a degree 0\ngenerator a degree x\n", "duplicate basis label a (line 3)", 3,
+     None),
+    (_H + "  bogus line\n", "unrecognized directive 'bogus' (line 2, column 2)", 2, 2),
+    (_H + "\tgenerator a degree 0\n\tfoo\n", "unrecognized directive 'foo' (line 3, column 1)",
+     3, 1),
+    (_H + "action\n", "expected: action <gen> <label> = <label> [+ ...] (line 2)", 2, None),
+    (_AB + "action Sq^1 a\n", "expected: action <gen> <label> = <label> [+ ...] (line 4)", 4,
+     None),
+    (_AB + "action Sq^1 a =\n", "expected: action <gen> <label> = <label> [+ ...] (line 4)", 4,
+     None),
+    (_AB + "action Sq^3 a = b\n", "Sq^3 is not a generator of A(1) (line 4)", 4, None),
+    (_AB + "action Sq^1++Sq^2 a = b\n", "empty summand next to '+' in 'Sq^1++Sq^2' (line 4)", 4,
+     None),
+    (_AB + "action Sq(,1) a = b\n", "each entry of 'Sq(,1)' must be one integer (line 4)", 4,
+     None),
+    (_AB + "action Sq^1 zz = b\n", "unknown basis label zz (line 4)", 4, None),
+    (_AB + "action Sq^1 a = zz\n", "unknown basis label zz (line 4)", 4, None),
+    (_AB + "action Sq^1 a = b +\n", "unknown basis label  (line 4)", 4, None),
+    (_AB + "action Sq^1 a = b c\n", "unknown basis label b c (line 4)", 4, None),
+    (_AB + "action Sq^1 a = b\naction Sq^1 a = b\n", "duplicate action line for a (line 5)", 5,
+     None),
+    (_AB + "generator c degree 3\naction Sq^1 a = b + c\n",
+     "target c has degree 3, expected 1 (line 5)", 5, None),
+    (_AB + "generator c degree 1\naction Sq^1 a = b + c + b\n", "target b repeated (line 5)", 5,
+     None),
+    (_H + "generator a degree 0\ngenerator b degree 3\ngenerator c degree 1\n"
+     "action Sq^1 a = b + c\n", "target b has degree 3, expected 1 (line 5)", 5, None),
+    # a malformed generator line is reported before any action line's labels
+    (_H + "generator a degree 0\naction Sq^1 a = zz\ngenerator b degree x\n",
+     "bad degree 'x' (line 4, column 19)", 4, 19),
+]
+
+
+@pytest.mark.parametrize("text,message,line,column", LOCATED_ERRORS)
+def test_located_errors_keep_message_line_and_column(text, message, line, column):
+    err = _located_error(text)
+    assert (str(err), err.line, err.column) == (message, line, column)
+
+
+def test_action_may_name_a_label_declared_later():
+    m = parse_module(_H + "generator a degree 0\naction Sq^1 a = b\ngenerator b degree 1\n")
+    assert m.actions[0][0].columns == (1,)
+
+
+def test_plus_in_generator_label_is_rejected():
+    # such a label could never be named as an action target
+    err = _located_error(_H + "generator a degree 0\ngenerator x+y degree 0\n")
+    assert (err.line, err.column) == (3, 10)
+    assert "'x+y'" in str(err) and "'+'" in str(err)
+
+
+@pytest.mark.parametrize("label", ["a b", "a\tb", "x+y", "h#", "", "a\nb"])
+def test_serialize_refuses_labels_outside_the_grammar(label):
+    m = GradedModule(st.A(1), {0: ("ok", label)}, {})
+    with pytest.raises(ModuleFileError) as err:
+        serialize_module(m)
+    assert repr(label) in str(err.value)
+    # the command line falls back to its readable summary
+    assert cli._serialized(m, "odd").startswith("# odd over A(1) (outside the file grammar)")
+
+
+def _joker():
+    return fixtures.load_fixture("Joker")
+
+
+DERIVED = {
+    "Joker^3": lambda: tensor(tensor(_joker(), _joker()), _joker()),
+    "dual(SO8modSp2)": lambda: dual(fixtures.load_fixture("SO8modSp2")),
+    "loop(loop(Joker))": lambda: loop(loop(_joker())),
+    "Joker (+) HZ": lambda: direct_sum(_joker(), fixtures.load_fixture("HZ")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_modules_round_trip_byte_for_byte(name):
+    m = DERIVED[name]()
+    text = serialize_module(m)
+    again = parse_module(text)
+    assert again == m
+    assert serialize_module(again) == text
 
 
 @pytest.mark.parametrize("name", fixtures.fixture_names())
