@@ -218,11 +218,16 @@ def action_lines(m: GradedModule, head: str = "action {} ", sep: str = " = ") ->
 def serialize_module(m: GradedModule, name: str | None = None) -> str:
     """Deterministic module file for a module over an A(n)/E(n) preset.
 
-    Raises ModuleFileError for a label the file grammar cannot hold: an
-    empty one, or one with whitespace, '+' or '#' in it.
+    The name (by default the module's own) is written with its whitespace
+    dropped.  Raises ModuleFileError for a name or label the file grammar
+    cannot hold: a name that is empty or only whitespace, or holds '#'; a
+    label that is empty, or has whitespace, '+' or '#' in it.
     """
     alg = m.algebra
-    clean = re.sub(r"\s+", "", name or m.meta.get("name", "module"))
+    given = m.meta.get("name", "module") if name is None else name
+    clean = re.sub(r"\s+", "", given)
+    if not clean or "#" in clean:
+        raise ModuleFileError(f"module name {given!r} cannot be written to a module file")
     lines = [f"module {clean} over {algebra_token(alg)}"]
     for d in m.degrees():
         labels = m.labels[d]

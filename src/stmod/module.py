@@ -87,15 +87,8 @@ class GradedModule:
     def is_zero(self) -> bool:
         return not self.labels
 
-    def action(self, gi: int, d: int) -> F2Matrix:
-        g = self.algebra.gen_degrees[gi]
-        mat = self.actions.get(gi, {}).get(d)
-        if mat is None:
-            return F2Matrix.zero(self.dim(d + g), self.dim(d))
-        return mat
-
     def columns(self, gi: int, d: int) -> tuple[int, ...]:
-        """The columns of ``action(gi, d)`` as packed vectors, read from the
+        """The packed columns of generator gi on degree d, read from the
         stored matrix, or zeros where none is stored."""
         mat = self.actions.get(gi, {}).get(d)
         return (0,) * self.dim(d) if mat is None else mat.columns
@@ -221,10 +214,15 @@ class ModuleMap:
     def _equivariance_defect(self):
         """(generator, degree, source column) of the first place where
         g*phi and phi*g differ, or None when the map is equivariant."""
-        for gi, g in enumerate(self.source.algebra.gen_degrees):
-            for d in self.source.degrees():
-                left = (self.target.action(gi, d + self.shift) @ self.mat(d)).columns
-                right = (self.mat(d + g) @ self.source.action(gi, d)).columns
+        source, target = self.source, self.target
+        for gi, g in enumerate(source.algebra.gen_degrees):
+            for d in source.degrees():
+                phi, above = self.mats.get(d), self.mats.get(d + g)
+                zeros = [0] * source.dim(d)
+                act = target.columns(gi, d + self.shift)
+                left = zeros if phi is None else [apply_cols(act, c) for c in phi.columns]
+                right = zeros if above is None else \
+                    [apply_cols(above.columns, c) for c in source.columns(gi, d)]
                 if left != right:
                     return gi, d, next(j for j, (a, b) in enumerate(zip(left, right))
                                         if a != b)
@@ -467,15 +465,12 @@ def direct_sum(m: GradedModule, n: GradedModule) -> GradedModule:
         labels[d] = tuple(f"a:{l}" for l in m.labels.get(d, ())) + \
                     tuple(f"b:{l}" for l in n.labels.get(d, ()))
     actions: dict[int, dict[int, F2Matrix]] = {}
-    for gi in range(len(m.algebra.generators)):
-        g = m.algebra.gen_degrees[gi]
-        per = {}
+    for gi, g in enumerate(m.algebra.gen_degrees):
+        per = actions[gi] = {}
         for d in labels:
-            am = m.action(gi, d)
-            bm = n.action(gi, d)
-            per[d] = F2Matrix.from_cols(am.columns + tuple(c << am.rows for c in bm.columns),
-                                        am.rows + bm.rows)
-        actions[gi] = per
+            top = m.dim(d + g)
+            cols = m.columns(gi, d) + tuple(c << top for c in n.columns(gi, d))
+            per[d] = F2Matrix.from_cols(cols, top + n.dim(d + g))
     name = f"{m.meta.get('name', '?')}(+){n.meta.get('name', '?')}"
     return GradedModule(m.algebra, labels, actions, meta={"name": name})
 

@@ -15,13 +15,18 @@ when every gamma_k vanishes on v and each generator sends v into the
 kernel in its own, higher degree.  Functionals with the same span cut out
 the same kernel.  Only m's generator matrices are read: Lambda acts by
 the words the closure recorded for it, and F's columns b*x are the
-differential of a resolver ``FreeStage`` on the x.  The reduced part is
-the stable representative of m, from which loop functors, stable
+differential of a resolver ``FreeStage`` on the x.  That F (+) kernel -> m
+commutes with the generators is checked on packed columns in every call;
+the isomorphism itself is built only when it is read.  The reduced part
+is the stable representative of m, from which loop functors, stable
 isomorphism tests and self-duality shifts all follow.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable
+from functools import partial
 from itertools import chain
 from random import Random
 
@@ -38,18 +43,40 @@ class InconclusiveIsomorphism(RuntimeError):
     either way.  Distinct from a certified negative (None)."""
 
 
-class Decomposition(Value):
+class _PendingBuild:
+    """The slot that holds a ``Decomposition``'s isomorphism builder until
+    the first read; a base of its own, so it is no field of the record."""
+
+    __slots__ = ("_build",)
+
+
+class Decomposition(Value, _PendingBuild):
     """module ~ F (+) reduced_part, F free on generators in degrees free_part.
 
-    ``isomorphism`` is the verified module map direct_sum(F, reduced_part)
-    -> module; it sends b (x) x in F to b*x and includes the reduced part.
+    ``isomorphism`` is the module map direct_sum(F, reduced_part) -> module;
+    it sends b (x) x in F to b*x and includes the reduced part.  It is given
+    either as that ModuleMap or as a function of no arguments that builds
+    it, which is called on the first read and its result kept.
     """
 
     __slots__ = ("module", "free_part", "reduced_part", "isomorphism")
 
     def __init__(self, module: GradedModule, free_part: tuple[int, ...],
-                 reduced_part: GradedModule, isomorphism: ModuleMap):
-        self._assign(module, free_part, reduced_part, isomorphism)
+                 reduced_part: GradedModule,
+                 isomorphism: ModuleMap | Callable[[], ModuleMap]):
+        if callable(isomorphism):
+            self._assign(module, free_part, reduced_part)
+            self._build = isomorphism
+        else:
+            self._assign(module, free_part, reduced_part, isomorphism)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the isomorphism before its first read
+        if name != "isomorphism":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.isomorphism = iso = self._build()
+        del self._build
+        return iso
 
     def verify(self) -> bool:
         """The isomorphism is bijective in every degree."""
@@ -80,9 +107,14 @@ def reduce_module(m: GradedModule) -> Decomposition:
     summand at a time, with the first coordinate of each Lambda*x in
     turn, would reach.  The free module F on the x maps to m by
     b (x) x |-> b*x, the differential of a ``FreeStage`` over m with
-    generators the x, in ``_free_quotient``'s slot order; with the
-    inclusion of C this is one isomorphism, verified as a module map.  A
-    module with no free summand is returned as it is.
+    generators the x.
+    Every call checks, on packed columns, that this map and the inclusion
+    of C commute with each generator g in each degree d (``_splits``);
+    when one does not, m is no module and the verified isomorphism is
+    built to raise the ValueError that names the first failing column.
+    Otherwise ``isomorphism`` is left to be built on its first read
+    (``_splitting_map``).  A module with no free summand is returned as it
+    is, with the identity.
     """
     alg = m.algebra
     alg.integral()  # NotFrobeniusError without a one-dimensional top
@@ -97,10 +129,7 @@ def reduce_module(m: GradedModule) -> Decomposition:
             masks[d + e] = sum(1 << p for p in images.pivots())
     free_part = tuple(d for d, js in picked.items() for _ in js)
     if not free_part:
-        return Decomposition(m, (), m, ModuleMap.identity(m))
-    gens = GradedModule(alg, {d: tuple(m.labels[d][j] for j in js)
-                              for d, js in picked.items()}, {})
-    free, slots = _free_quotient(alg, gens, (), name="free", label_prefix="f")
+        return Decomposition(m, (), m, partial(ModuleMap.identity, m))
     basis: dict[int, list[int]] = {}
     spans: dict[int, F2Span] = {}
     actions: dict[int, dict[int, F2Matrix]] = {}
@@ -127,19 +156,60 @@ def reduce_module(m: GradedModule) -> Decomposition:
     labels = {d: tuple(f"c{d}_{i}" for i in range(len(basis[d]))) for d in m.degrees()}
     reduced = GradedModule(alg, labels, actions,
                            meta={"name": f"{m.meta.get('name', '?')}~"})
-    stage, first = FreeStage(m), {}  # first[d]: the stage's first generator of degree d
+    stage = FreeStage(m)
     for d, js in picked.items():
-        first[d] = stage.rank
         for j in js:
             stage.add_generator(d, 1 << j)
+    build = partial(_splitting_map, m, picked, reduced, stage, basis)
+    if not _splits(m, stage, reduced, basis):
+        build(verify=True)  # raises, naming the first column where it fails
+    return Decomposition(m, free_part, reduced, partial(build, verify=False))
+
+
+def _splits(m: GradedModule, stage: FreeStage, reduced: GradedModule,
+            basis: dict[int, list[int]]) -> bool:
+    """Whether F (+) C -> m commutes with every generator g_k in every
+    degree d of m or F, F being the stage's slots and C the reduced part.
+
+    On F, g_k applied to the image of each degree-d slot must equal the
+    degree-(d+g) images applied to the slot's g_k column
+    (``FreeStage.columns``); on C, g_k applied to each basis vector v must
+    equal v's action column in C run through the degree-(d+g) basis.
+    """
+    top = max(m.degrees()[-1], stage.gen_degrees[-1] + m.algebra.top_degree)
+    for k, g in enumerate(m.algebra.gen_degrees):
+        for d in range(m.degrees()[0], top + 1):
+            act = m.columns(k, d)
+            if [apply_cols(act, v) for v in stage.differential(d)] != \
+               [apply_cols(stage.differential(d + g), c) for c in stage.columns(k, d)]:
+                return False
+            if [apply_cols(act, v) for v in basis.get(d, ())] != \
+               [apply_cols(basis.get(d + g, ()), c) for c in reduced.columns(k, d)]:
+                return False
+    return True
+
+
+def _splitting_map(m: GradedModule, picked: dict[int, list[int]], reduced: GradedModule,
+                   stage: FreeStage, basis: dict[int, list[int]], verify: bool) -> ModuleMap:
+    """The map direct_sum(F, reduced) -> m of ``reduce_module``.
+
+    F is ``_free_quotient`` on the picked x, whose slot (a, degree of x,
+    index of x) goes to the stage's image of the slot (x, a), the stage's
+    generators being the x in the same order; the reduced part's basis
+    vector c_i goes to basis[d][i].
+    """
+    alg = m.algebra
+    gens = GradedModule(alg, {d: tuple(m.labels[d][j] for j in js)
+                              for d, js in picked.items()}, {})
+    free, slots = _free_quotient(alg, gens, (), name="free", label_prefix="f")
     mats = {}
     for d in m.degrees():
         position = {slot: p for p, slot in enumerate(stage.basis(d))}
         diff = stage.differential(d)
-        cols = [diff[position[first[vd] + i, a]] for a, vd, i in slots.get(d, ())]
+        cols = [diff[position[bisect_left(stage.gen_degrees, vd) + i, a]]
+                for a, vd, i in slots.get(d, ())]
         mats[d] = F2Matrix.from_cols(cols + basis[d], m.dim(d))
-    isomorphism = ModuleMap(direct_sum(free, reduced), m, mats)
-    return Decomposition(m, free_part, reduced, isomorphism)
+    return ModuleMap(direct_sum(free, reduced), m, mats, verify=verify)
 
 
 def loop(m: GradedModule) -> GradedModule:
@@ -197,10 +267,12 @@ def _hom_solutions(m: GradedModule, n: GradedModule) -> tuple[list[int], list[tu
                 for c in range(width):
                     cols[at + c] ^= spread << c
                 at += width
-            above, stride = offsets[d + g], m.dim(d + g)
-            for k, am_row in enumerate(m.action(gi, d).transpose().columns):
-                for r in range(rows):
-                    cols[above + r * stride + k] ^= am_row << (height + r * width)
+            am = m.actions.get(gi, {}).get(d)  # None where g acts as zero
+            if am is not None:
+                above, stride = offsets[d + g], m.dim(d + g)
+                for k, am_row in enumerate(am.transpose().columns):
+                    for r in range(rows):
+                        cols[above + r * stride + k] ^= am_row << (height + r * width)
             height += rows * width
     blocks = [(d, offsets[d], n.dim(d), m.dim(d)) for d in degs if m.dim(d) and n.dim(d)]
     return kernel_basis(F2Matrix(height, total, tuple(cols))), blocks

@@ -317,6 +317,24 @@ def test_serialize_refuses_labels_outside_the_grammar(label):
     assert cli._serialized(m, "odd").startswith("# odd over A(1) (outside the file grammar)")
 
 
+@pytest.mark.parametrize("name", ["a#b", "   ", ""])
+def test_serialize_refuses_names_outside_the_grammar(name):
+    # written as is, "module a#b over A(1)" would read back as "module a",
+    # and "module  over A(1)" has no name token
+    m = GradedModule(st.A(1), {0: ("u",)}, {}, meta={"name": name})
+    for call in (lambda: serialize_module(m), lambda: serialize_module(m, name=name)):
+        with pytest.raises(ModuleFileError) as err:
+            call()
+        assert str(err.value) == f"module name {name!r} cannot be written to a module file"
+    assert cli._serialized(m, name).startswith(f"# {name} over A(1) (outside the file grammar)")
+
+
+def test_serialize_drops_whitespace_from_names():
+    text = serialize_module(GradedModule(st.A(1), {0: ("u",)}, {}), name=" a b\t")
+    assert text.startswith("module ab over A(1)\n")
+    assert parse_module(text).meta["name"] == "ab"
+
+
 def _joker():
     return fixtures.load_fixture("Joker")
 

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from stmod import fixtures, module as md, stable, steenrod as st
+from stmod import cli, fixtures, modfile, module as md, stable, steenrod as st
 from stmod.f2linalg import F2Matrix, kernel_basis, rank, solve_matrix, vec_support
 from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
                           margolis_homology, quotient_by_left_ideal,
@@ -78,6 +78,92 @@ def test_reduce_witnesses_are_module_maps(hz):
     assert iso.target is m
     assert iso._equivariance_defect() is None
     assert iso.source.dims() == m.dims()
+    assert dec.verify()
+
+
+@cache
+def _joker_square_flips():
+    """200 copies of Joker^2, each with one bit of one action matrix
+    flipped: entries (generator, degree, row, column) drawn by
+    Random(1).choices."""
+    m = _fixture_tensor("Joker", "Joker")
+    gdegs = m.algebra.gen_degrees
+    entries = [(gi, d, r, c) for gi, g in enumerate(gdegs) for d in m.degrees()
+               for r in range(m.dim(d + g)) for c in range(m.dim(d))]
+    flips = []
+    for gi, d, r, c in Random(1).choices(entries, k=200):
+        actions = {k: dict(per) for k, per in m.actions.items()}
+        cols = list(m.columns(gi, d))
+        cols[c] ^= 1 << r
+        actions.setdefault(gi, {})[d] = F2Matrix.from_cols(cols, m.dim(d + gdegs[gi]))
+        flips.append(md.GradedModule(m.algebra, m.labels, actions, meta={"name": "flip"}))
+    return flips
+
+
+def _reduce_verdict(m):
+    try:
+        reduce_module(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_reduce_checks_its_splitting_on_non_modules():
+    """None of the flips is a module.  On 194 of them F (+) C -> m fails to
+    commute, and reduce_module names the first failing column; on the
+    other 6 the splitting commutes and it returns."""
+    flips = _joker_square_flips()
+    assert all(md.validate(f) for f in flips)
+    verdicts = [_reduce_verdict(f) for f in flips]
+    assert verdicts.count(None) == 6
+    assert all(v.startswith("map does not commute with ") for v in verdicts if v)
+    assert verdicts[0] == "map does not commute with Sq^1 at degree -1 on a:f-1_3"
+    assert verdicts[1] == "map does not commute with Sq^2 at degree 0 on a:f0_2"
+    assert "map does not commute with Sq^1 at degree -3 on a:f-3_1" in verdicts
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest()[:16] == "ee17f0fc4474af1a"
+
+
+def test_reduce_command_on_a_non_module_exits_one(tmp_path, capsys):
+    flip = _joker_square_flips()[0]
+    path = tmp_path / "flip.mod"
+    path.write_text(modfile.serialize_module(flip))
+    assert cli.main(["reduce", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: map does not commute with Sq^1 at degree -1 on a:f-1_3\n"
+
+
+def test_isomorphism_is_built_only_when_read(monkeypatch, tmp_path, capsys, joker):
+    """reduce_module checks its splitting without building F, F (+) C or
+    the map; the map is built on the first read of ``isomorphism`` and
+    kept."""
+    m = tensor(joker, joker)
+    path = tmp_path / "joker2.mod"
+    path.write_text(modfile.serialize_module(m))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduce_module built its isomorphism")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stable, "_free_quotient", refuse)
+        patch.setattr(stable, "direct_sum", refuse)
+        assert cli.main(["reduce", "--file", str(path)]) == 0
+        assert cli.main(["loop", "--times", "2", "--file", str(path)]) == 0
+        assert selfdual_shift(m, stable=True) == 0
+        assert iso_test(m, m) is not None
+        dec = reduce_module(m)
+    capsys.readouterr()
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return md._free_quotient(*args, **kwargs)
+
+    monkeypatch.setattr(stable, "_free_quotient", counted)
+    assert dec.free_part == (-4, -3, -2) and built == []
+    iso = dec.isomorphism
+    assert dec.isomorphism is iso and len(built) == 1
+    assert iso.target is m and iso._equivariance_defect() is None
     assert dec.verify()
 
 
