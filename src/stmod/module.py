@@ -5,10 +5,12 @@ degree together with one matrix per algebra *generator* per degree; every
 other algebra basis element b acts through its left decomposition
 b = sum_k g_k.c_k, as packed columns per degree (``basis_columns``).
 Sums of generator words act letter by letter through ``words_op``, for
-the Wall relations and the integral in ``stable.reduce_module``.
-``validate`` certifies that the given matrices really define a module,
-over a full A(n) by checking that each Wall relation acts as zero, over a
-general subalgebra by checking the closure's presentation
+the defining relations in ``validate`` and the integral in
+``stable.reduce_module``.
+``validate`` certifies that the given matrices really define a module:
+over an A(n) or E(n) preset by checking that each defining relation (the
+Wall relations, or Q_iQ_i and Q_iQ_j + Q_jQ_i) acts as zero, over any
+other subalgebra by checking the closure's presentation
 basis[i] * generator[k] = sum_j basis[j] column by column.
 
 Degrees are cohomological, may be negative, and actions raise degree.
@@ -115,16 +117,18 @@ class GradedModule:
 
     def words_op(self, words, d: int) -> list[int]:
         """Columns on degree d of the sum of the generator words, each
-        applied letter by letter (its last letter first) to the unit
-        vectors; no table is filled."""
+        applied letter by letter: its last letter's own columns, then the
+        letters before it in turn; no table is filled."""
         gdegs = self.algebra.gen_degrees
         total = [0] * self.dim(d)
         for word in words:
-            cols, e = [1 << j for j in range(self.dim(d))], d
+            cols, e = None, d
             for gi in reversed(word):
                 gen = self.columns(gi, e)
-                cols = [apply_cols(gen, c) for c in cols]
+                cols = list(gen) if cols is None else [apply_cols(gen, c) for c in cols]
                 e += gdegs[gi]
+            if cols is None:  # the empty word acts as the identity
+                cols = [1 << j for j in range(self.dim(d))]
             total = [a ^ b for a, b in zip(total, cols)]
         return total
 
@@ -271,12 +275,12 @@ class ModuleMap:
         return ModuleMap(source, target, mats)
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """self after inner."""
+        """self after inner; a product with a block that is not stored
+        (zero) is left out too."""
         if inner.target != self.source:
             raise ValueError("maps are not composable")
-        mats = {}
-        for d in inner.source.degrees():
-            mats[d] = self.mat(d + inner.shift) @ inner.mat(d)
+        mats = {d: self.mats[d + inner.shift] @ m for d, m in inner.mats.items()
+                if d + inner.shift in self.mats}
         return ModuleMap(inner.source, self.target, mats,
                          shift=self.shift + inner.shift, verify=False)
 
@@ -299,23 +303,31 @@ class ModuleMap:
 def validate(m: GradedModule) -> list[str]:
     """Empty list when the generator matrices define a genuine module.
 
-    Over a full A(n) this evaluates every Wall relation on every degree
-    through ``words_op``; otherwise it checks the dim * (number of
-    generators) relations basis[i] * generator[k] = sum_j basis[j] that
-    present the algebra, their right sides from ``right_products``.
-    Violations name the failing relation (or product), the degree, and a
-    witness basis element.
+    Over an A(n) or E(n) preset this evaluates every defining relation on
+    every degree through ``words_op``: the Wall relations of A(n), and the
+    relations Q_iQ_i and Q_iQ_j + Q_jQ_i of the exterior algebra E(n).
+    Over any other subalgebra it checks the dim * (number of generators)
+    relations basis[i] * generator[k] = sum_j basis[j] that present the
+    algebra, their right sides from ``right_products``.  Violations name
+    the failing relation (or product), the degree, and a witness basis
+    element.
     """
     violations: list[str] = []
     alg = m.algebra
     gdegs = alg.gen_degrees
-    if alg.kind == "A":
-        for rel in steenrod.wall_relations(alg.kind_param):
+    if alg.kind in ("A", "E"):
+        n = alg.kind_param
+        if alg.kind == "A":
+            relations = [(rel.label, rel.words) for rel in steenrod.wall_relations(n)]
+        else:  # the exterior algebra on Q_0..Q_n
+            pairs = [sorted({(i, j), (j, i)}) for i in range(n + 1) for j in range(i, n + 1)]
+            relations = [(" + ".join(map(alg.word_string, ws)), ws) for ws in pairs]
+        for label, words in relations:
             for d in m.degrees():
-                total = m.words_op(rel.words, d)
+                total = m.words_op(words, d)
                 j = next((j for j, c in enumerate(total) if c), None)
                 if j is not None:
-                    violations.append(f"relation {rel.label} is nonzero on "
+                    violations.append(f"relation {label} is nonzero on "
                                       f"{m.labels[d][j]} (degree {d})")
         return violations
     # generic subalgebra: the closure's relations basis[i] * generator[k] =

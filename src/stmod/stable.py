@@ -15,11 +15,14 @@ when every gamma_k vanishes on v and each generator sends v into the
 kernel in its own, higher degree.  Functionals with the same span cut out
 the same kernel.  Only m's generator matrices are read: Lambda acts by
 the words the closure recorded for it, and F's columns b*x are the
-differential of a resolver ``FreeStage`` on the x.  That F (+) kernel -> m
-commutes with the generators is checked on packed columns in every call;
-the isomorphism itself is built only when it is read.  The reduced part
-is the stable representative of m, from which loop functors, stable
-isomorphism tests and self-duality shifts all follow.
+differential of a resolver ``FreeStage`` on the x.  All of this holds
+only for a module, so ``reduce_module`` runs ``validate`` on any input
+with a free summand and refuses a non-module; an input with no free
+summand is its own reduced part and is not checked.  The isomorphism
+F (+) kernel -> m is built, and verified equivariant, only when it is
+read.  The reduced part is the stable representative of m, from which
+loop functors, stable isomorphism tests and self-duality shifts all
+follow.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from random import Random
 from .f2linalg import F2Matrix, F2Span, apply_cols, eliminate, kernel_basis, rank, rref
 from . import steenrod
 from .module import (GradedModule, ModuleMap, _free_quotient, aug_ideal_module,
-                     direct_sum, dual, margolis_homology, suspend, tensor)
+                     direct_sum, dual, margolis_homology, suspend, tensor, validate)
 from .resolve import FreeStage
 from .value import Value
 
@@ -56,7 +59,10 @@ class Decomposition(Value, _PendingBuild):
     ``isomorphism`` is the module map direct_sum(F, reduced_part) -> module;
     it sends b (x) x in F to b*x and includes the reduced part.  It is given
     either as that ModuleMap or as a function of no arguments that builds
-    it, which is called on the first read and its result kept.
+    it, which is called on the first read and its result kept.  From
+    ``reduce_module`` it is the identity when free_part is empty, and
+    otherwise a map checked equivariant as it is built, on a module that
+    ``validate`` passed.
     """
 
     __slots__ = ("module", "free_part", "reduced_part", "isomorphism")
@@ -108,13 +114,13 @@ def reduce_module(m: GradedModule) -> Decomposition:
     turn, would reach.  The free module F on the x maps to m by
     b (x) x |-> b*x, the differential of a ``FreeStage`` over m with
     generators the x.
-    Every call checks, on packed columns, that this map and the inclusion
-    of C commute with each generator g in each degree d (``_splits``);
-    when one does not, m is no module and the verified isomorphism is
-    built to raise the ValueError that names the first failing column.
-    Otherwise ``isomorphism`` is left to be built on its first read
-    (``_splitting_map``).  A module with no free summand is returned as it
-    is, with the identity.
+    When there is a free summand, m is first checked to be a module
+    (``validate``), and a ValueError names the first violated relation
+    when it is not; the splitting above holds only for modules.  The
+    isomorphism is left to be built, and verified equivariant, on its
+    first read (``_splitting_map``).  A module with no free summand is
+    returned as it is, with the identity: nothing is split, and nothing
+    is checked.
     """
     alg = m.algebra
     alg.integral()  # NotFrobeniusError without a one-dimensional top
@@ -130,6 +136,9 @@ def reduce_module(m: GradedModule) -> Decomposition:
     free_part = tuple(d for d, js in picked.items() for _ in js)
     if not free_part:
         return Decomposition(m, (), m, partial(ModuleMap.identity, m))
+    violations = validate(m)
+    if violations:
+        raise ValueError(f"not a module: {violations[0]}")
     basis: dict[int, list[int]] = {}
     spans: dict[int, F2Span] = {}
     actions: dict[int, dict[int, F2Matrix]] = {}
@@ -156,49 +165,24 @@ def reduce_module(m: GradedModule) -> Decomposition:
     labels = {d: tuple(f"c{d}_{i}" for i in range(len(basis[d]))) for d in m.degrees()}
     reduced = GradedModule(alg, labels, actions,
                            meta={"name": f"{m.meta.get('name', '?')}~"})
+    return Decomposition(m, free_part, reduced,
+                         partial(_splitting_map, m, picked, reduced, basis))
+
+
+def _splitting_map(m: GradedModule, picked: dict[int, list[int]], reduced: GradedModule,
+                   basis: dict[int, list[int]]) -> ModuleMap:
+    """The map direct_sum(F, reduced) -> m of ``reduce_module``, verified.
+
+    F is ``_free_quotient`` on the picked x, whose slot (a, degree of x,
+    index of x) goes to the image of the slot (x, a) under the differential
+    of a ``FreeStage`` over m with generators the x in the same order; the
+    reduced part's basis vector c_i goes to basis[d][i].
+    """
+    alg = m.algebra
     stage = FreeStage(m)
     for d, js in picked.items():
         for j in js:
             stage.add_generator(d, 1 << j)
-    build = partial(_splitting_map, m, picked, reduced, stage, basis)
-    if not _splits(m, stage, reduced, basis):
-        build(verify=True)  # raises, naming the first column where it fails
-    return Decomposition(m, free_part, reduced, partial(build, verify=False))
-
-
-def _splits(m: GradedModule, stage: FreeStage, reduced: GradedModule,
-            basis: dict[int, list[int]]) -> bool:
-    """Whether F (+) C -> m commutes with every generator g_k in every
-    degree d of m or F, F being the stage's slots and C the reduced part.
-
-    On F, g_k applied to the image of each degree-d slot must equal the
-    degree-(d+g) images applied to the slot's g_k column
-    (``FreeStage.columns``); on C, g_k applied to each basis vector v must
-    equal v's action column in C run through the degree-(d+g) basis.
-    """
-    top = max(m.degrees()[-1], stage.gen_degrees[-1] + m.algebra.top_degree)
-    for k, g in enumerate(m.algebra.gen_degrees):
-        for d in range(m.degrees()[0], top + 1):
-            act = m.columns(k, d)
-            if [apply_cols(act, v) for v in stage.differential(d)] != \
-               [apply_cols(stage.differential(d + g), c) for c in stage.columns(k, d)]:
-                return False
-            if [apply_cols(act, v) for v in basis.get(d, ())] != \
-               [apply_cols(basis.get(d + g, ()), c) for c in reduced.columns(k, d)]:
-                return False
-    return True
-
-
-def _splitting_map(m: GradedModule, picked: dict[int, list[int]], reduced: GradedModule,
-                   stage: FreeStage, basis: dict[int, list[int]], verify: bool) -> ModuleMap:
-    """The map direct_sum(F, reduced) -> m of ``reduce_module``.
-
-    F is ``_free_quotient`` on the picked x, whose slot (a, degree of x,
-    index of x) goes to the stage's image of the slot (x, a), the stage's
-    generators being the x in the same order; the reduced part's basis
-    vector c_i goes to basis[d][i].
-    """
-    alg = m.algebra
     gens = GradedModule(alg, {d: tuple(m.labels[d][j] for j in js)
                               for d, js in picked.items()}, {})
     free, slots = _free_quotient(alg, gens, (), name="free", label_prefix="f")
@@ -209,7 +193,7 @@ def _splitting_map(m: GradedModule, picked: dict[int, list[int]], reduced: Grade
         cols = [diff[position[bisect_left(stage.gen_degrees, vd) + i, a]]
                 for a, vd, i in slots.get(d, ())]
         mats[d] = F2Matrix.from_cols(cols + basis[d], m.dim(d))
-    return ModuleMap(direct_sum(free, reduced), m, mats, verify=verify)
+    return ModuleMap(direct_sum(free, reduced), m, mats)
 
 
 def loop(m: GradedModule) -> GradedModule:
@@ -425,14 +409,11 @@ def iso_test(m: GradedModule, n: GradedModule) -> ModuleMap | None:
     for s in _available_primitives(m.algebra):
         if margolis_homology(m, s) != margolis_homology(n, s):
             return None
-    try:
-        if m.algebra.basis_dim(m.algebra.top_degree) == 1:
-            dm, dn = reduce_module(m), reduce_module(n)
-            if dm.free_part != dn.free_part or \
-               dm.reduced_part.dims() != dn.reduced_part.dims():
-                return None
-    except steenrod.NotFrobeniusError:
-        pass
+    if m.algebra.basis_dim(m.algebra.top_degree) == 1:
+        dm, dn = reduce_module(m), reduce_module(n)
+        if dm.free_part != dn.free_part or \
+           dm.reduced_part.dims() != dn.reduced_part.dims():
+            return None
     sols, blocks = _hom_solutions(m, n)
     restricted = _restrict(sols, blocks)
     if restricted is None:
@@ -488,8 +469,10 @@ def check_exact(maps: list[ModuleMap]) -> tuple[int, int, str] | None:
             return (i, 0, "composite is nonzero")
         mid = outgoing.source
         for d in mid.degrees():
-            rk_out = rank(outgoing.mat(d))
-            rk_in = rank(incoming.mat(d - incoming.shift))
+            # a block that is not stored is zero, of rank 0
+            out, inc = outgoing.mats.get(d), incoming.mats.get(d - incoming.shift)
+            rk_out = 0 if out is None else rank(out)
+            rk_in = 0 if inc is None else rank(inc)
             if rk_out + rk_in != mid.dim(d):
                 return (i, d, f"im+ker mismatch: rank in {rk_in} + rank out "
                               f"{rk_out} != dim {mid.dim(d)}")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from stmod.module import (GradedModule, ModuleMap, direct_sum, double, dual,
 from stmod.resolve import ext_chart
 from stmod.stable import iso_test
 from stmod.steenrod import milnor_primitive, sq
+from flips import seeded_flips
 from word_action import expression_columns
 
 
@@ -41,7 +43,10 @@ def test_broken_joker_names_wall_relation(joker):
 
 
 def test_validate_generic_subalgebra():
-    e1 = st.E(1)
+    """The closure of E(1)'s generators is no preset, so its modules are
+    checked through the closure's presentation."""
+    e1 = st.subalgebra_closure(st.E(1).generators, 1, names=st.E(1).gen_names)
+    assert e1.kind == "custom"
     assert validate(regular_module(e1)) == []
     # break commutativity of the two primitive actions
     reg = regular_module(e1)
@@ -49,6 +54,7 @@ def test_validate_generic_subalgebra():
     actions[1][1] = F2Matrix.zero(reg.dim(4), reg.dim(1))
     broken = GradedModule(e1, dict(reg.labels), actions)
     assert validate(broken)
+    assert all(b.startswith("basis product ") for b in validate(broken))
 
 
 def _broken_variants(m):
@@ -67,27 +73,58 @@ def _a2_modules():
     yield double(fixtures.load_fixture("Joker"))
 
 
-def test_wall_and_presentation_routes_agree():
-    """Over A(n) both routes decide module-ness: the Wall relations and the
-    closure's relations basis[i] * generator[k], reached by rebuilding the
-    module over the closure of A(n)'s generators (kind "custom")."""
+def _exterior_modules():
+    for n in (1, 2):
+        e = st.E(n)
+        ideal = md.aug_ideal_module(e)
+        yield regular_module(e)
+        yield ideal
+        yield dual(ideal)
+        yield tensor(ideal, ideal)
+        yield quotient_by_left_ideal(e, [milnor_primitive(0, n)])
+    yield hopf_quotient(st.E(2), st.E(1, 2))
+    yield restrict(fixtures.load_fixture("Joker"), st.E(1, 1))
+    yield fixtures.load_fixture("E1")
+
+
+def test_relation_and_presentation_routes_agree():
+    """Over A(n) and E(n) both routes decide module-ness: the preset's
+    defining relations (Wall's for A(n); Q_iQ_i and Q_iQ_j + Q_jQ_i for
+    E(n)) and the closure's relations basis[i] * generator[k], reached by
+    rebuilding the module over the closure of the preset's generators
+    (kind "custom").  The E(n) modules also enter with seeded single-bit
+    flips."""
     modules = [fixtures.load_fixture(name) for name in fixtures.fixture_names()]
     modules = [m for m in modules if m.algebra.kind == "A" and m.algebra.kind_param >= 1]
     modules += list(_a2_modules())
+    variants = [v for m in modules for v in (m, *_broken_variants(m))]
+    variants += [v for i, m in enumerate(_exterior_modules())
+                 for v in (m, *_broken_variants(m), *seeded_flips(m, 20, i))]
     closures = {}
-    seen = {True: 0, False: 0}
-    for m in modules:
-        alg = m.algebra
+    seen = Counter()
+    for v in variants:
+        alg = v.algebra
         if alg not in closures:
             closures[alg] = st.subalgebra_closure(alg.generators, alg.ambient,
                                                   names=alg.gen_names)
             assert closures[alg].kind == "custom" and closures[alg].basis == alg.basis
-        for v in [m, *_broken_variants(m)]:
-            generic = GradedModule(closures[alg], dict(v.labels), v.actions)
-            wall_ok = validate(v) == []
-            assert wall_ok == (validate(generic) == [])
-            seen[wall_ok] += 1
-    assert seen[True] > 100 and seen[False] > 50
+        generic = GradedModule(closures[alg], dict(v.labels), v.actions)
+        relations_ok = validate(v) == []
+        assert relations_ok == (validate(generic) == [])
+        seen[alg.kind, relations_ok] += 1
+    assert seen["A", True] > 100 and seen["A", False] > 50
+    assert seen["E", True] > 90 and seen["E", False] > 250
+
+
+def test_broken_exterior_names_its_relation():
+    """Over E(2), Q_1 killed on Q_0 breaks Q_0Q_1 = Q_1Q_0 on the unit, and
+    the violation names that relation."""
+    reg = regular_module(st.E(2))
+    actions = {gi: dict(per) for gi, per in reg.actions.items()}
+    del actions[1][1]
+    broken = GradedModule(reg.algebra, dict(reg.labels), actions)
+    assert validate(broken)[0] == \
+        "relation P(1,0)P(1,1) + P(1,1)P(1,0) is nonzero on b0 (degree 0)"
 
 
 # ---------------------------------------------------------------------------

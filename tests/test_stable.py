@@ -21,6 +21,7 @@ from stmod.stable import (InconclusiveIsomorphism, _candidates, _unpack, check_e
                           hom_space, iso_test, loop, oloop, reduce_module,
                           selfdual_shift)
 from stmod.steenrod import sq
+from flips import seeded_flips
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +85,8 @@ def test_reduce_witnesses_are_module_maps(hz):
 @cache
 def _joker_square_flips():
     """200 copies of Joker^2, each with one bit of one action matrix
-    flipped: entries (generator, degree, row, column) drawn by
-    Random(1).choices."""
-    m = _fixture_tensor("Joker", "Joker")
-    gdegs = m.algebra.gen_degrees
-    entries = [(gi, d, r, c) for gi, g in enumerate(gdegs) for d in m.degrees()
-               for r in range(m.dim(d + g)) for c in range(m.dim(d))]
-    flips = []
-    for gi, d, r, c in Random(1).choices(entries, k=200):
-        actions = {k: dict(per) for k, per in m.actions.items()}
-        cols = list(m.columns(gi, d))
-        cols[c] ^= 1 << r
-        actions.setdefault(gi, {})[d] = F2Matrix.from_cols(cols, m.dim(d + gdegs[gi]))
-        flips.append(md.GradedModule(m.algebra, m.labels, actions, meta={"name": "flip"}))
-    return flips
+    flipped (``seeded_flips`` with seed 1)."""
+    return list(seeded_flips(_fixture_tensor("Joker", "Joker"), 200, 1))
 
 
 def _reduce_verdict(m):
@@ -108,19 +97,16 @@ def _reduce_verdict(m):
     return None
 
 
-def test_reduce_checks_its_splitting_on_non_modules():
-    """None of the flips is a module.  On 194 of them F (+) C -> m fails to
-    commute, and reduce_module names the first failing column; on the
-    other 6 the splitting commutes and it returns."""
+FLIP0_VIOLATION = "not a module: relation Sq^1Sq^1 is nonzero on q2_0|q0_0 (degree -2)"
+
+
+def test_reduce_refuses_every_non_module():
+    """None of the flips is a module, and reduce_module refuses each one
+    with the first violation ``validate`` names."""
     flips = _joker_square_flips()
-    assert all(md.validate(f) for f in flips)
     verdicts = [_reduce_verdict(f) for f in flips]
-    assert verdicts.count(None) == 6
-    assert all(v.startswith("map does not commute with ") for v in verdicts if v)
-    assert verdicts[0] == "map does not commute with Sq^1 at degree -1 on a:f-1_3"
-    assert verdicts[1] == "map does not commute with Sq^2 at degree 0 on a:f0_2"
-    assert "map does not commute with Sq^1 at degree -3 on a:f-3_1" in verdicts
-    assert hashlib.sha256(repr(verdicts).encode()).hexdigest()[:16] == "ee17f0fc4474af1a"
+    assert verdicts == [f"not a module: {md.validate(f)[0]}" for f in flips]
+    assert verdicts[0] == FLIP0_VIOLATION
 
 
 def test_reduce_command_on_a_non_module_exits_one(tmp_path, capsys):
@@ -130,12 +116,43 @@ def test_reduce_command_on_a_non_module_exits_one(tmp_path, capsys):
     assert cli.main(["reduce", "--file", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: map does not commute with Sq^1 at degree -1 on a:f-1_3\n"
+    assert captured.err == f"error: {FLIP0_VIOLATION}\n"
+
+
+def _margolis_defined(m):
+    try:
+        for s in (0, 1):
+            margolis_homology(m, s)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def test_stable_tools_refuse_a_non_module():
+    """loop, iso_test and the stable self-duality shift reduce their input
+    and so refuse flip 0 with the violation ``validate`` names: the same
+    one as reduce_module for the stable shift, and for loop the same
+    relation on (augmentation ideal) (x) flip.  iso_test(flip, flip) stops
+    earlier, at Margolis homology's own check that Q_0 squares to zero;
+    a flip that passes that check reaches reduce_module."""
+    flips = _joker_square_flips()
+    flip = flips[0]
+    with pytest.raises(ValueError, match=re.escape(FLIP0_VIOLATION)):
+        selfdual_shift(flip, stable=True)
+    with pytest.raises(ValueError, match=r"^not a module: relation Sq\^1Sq\^1 is nonzero on b1\|"):
+        loop(flip)
+    with pytest.raises(ArithmeticError, match="Q_0 does not square to zero"):
+        iso_test(flip, flip)
+    squaring = [f for f in flips if _margolis_defined(f)]
+    assert squaring
+    for f in squaring[:3]:
+        with pytest.raises(ValueError, match=re.escape(f"not a module: {md.validate(f)[0]}")):
+            iso_test(f, f)
 
 
 def test_isomorphism_is_built_only_when_read(monkeypatch, tmp_path, capsys, joker):
-    """reduce_module checks its splitting without building F, F (+) C or
-    the map; the map is built on the first read of ``isomorphism`` and
+    """reduce_module returns without building the free stage, F, F (+) C
+    or the map; the map is built on the first read of ``isomorphism`` and
     kept."""
     m = tensor(joker, joker)
     path = tmp_path / "joker2.mod"
@@ -145,6 +162,7 @@ def test_isomorphism_is_built_only_when_read(monkeypatch, tmp_path, capsys, joke
         raise AssertionError("reduce_module built its isomorphism")
 
     with monkeypatch.context() as patch:
+        patch.setattr(stable, "FreeStage", refuse)
         patch.setattr(stable, "_free_quotient", refuse)
         patch.setattr(stable, "direct_sum", refuse)
         assert cli.main(["reduce", "--file", str(path)]) == 0
