@@ -18,11 +18,14 @@ the words the closure recorded for it, and F's columns b*x are the
 differential of a resolver ``FreeStage`` on the x.  All of this holds
 only for a module, so ``reduce_module`` runs ``validate`` on any input
 with a free summand and refuses a non-module; an input with no free
-summand is its own reduced part and is not checked.  The isomorphism
-F (+) kernel -> m is built, and verified equivariant, only when it is
-read.  The reduced part is the stable representative of m, from which
-loop functors, stable isomorphism tests and self-duality shifts all
-follow.
+summand is its own reduced part and is not checked.  ``loop`` and
+``oloop`` name the violation of their own argument, not of its product
+with the augmentation ideal, and ``iso_test`` names the violation of an
+argument on which a Milnor primitive fails to square to zero; a module
+pays no ``validate`` for either.  The isomorphism F (+) kernel -> m is
+built, and verified equivariant, only when it is read.  The reduced part
+is the stable representative of m, from which loop functors, stable
+isomorphism tests and self-duality shifts all follow.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ from .value import Value
 class InconclusiveIsomorphism(RuntimeError):
     """The isomorphism search ran out of budget without a certificate
     either way.  Distinct from a certified negative (None)."""
+
+
+class NotAModuleError(ValueError):
+    """Raised for generator matrices that define no module; the message is
+    ``not a module: `` and the first violation ``validate`` names."""
 
 
 class _PendingBuild:
@@ -89,6 +97,13 @@ class Decomposition(Value, _PendingBuild):
         return self.isomorphism.is_bijective()
 
 
+def _check_module(m: GradedModule) -> None:
+    """Raise NotAModuleError when ``validate`` finds m is no module."""
+    violations = validate(m)
+    if violations:
+        raise NotAModuleError(f"not a module: {violations[0]}")
+
+
 def reduce_module(m: GradedModule) -> Decomposition:
     """Split off every free summand in one step.
 
@@ -115,9 +130,9 @@ def reduce_module(m: GradedModule) -> Decomposition:
     b (x) x |-> b*x, the differential of a ``FreeStage`` over m with
     generators the x.
     When there is a free summand, m is first checked to be a module
-    (``validate``), and a ValueError names the first violated relation
-    when it is not; the splitting above holds only for modules.  The
-    isomorphism is left to be built, and verified equivariant, on its
+    (``validate``), and a NotAModuleError names the first violated
+    relation when it is not; the splitting above holds only for modules.
+    The isomorphism is left to be built, and verified equivariant, on its
     first read (``_splitting_map``).  A module with no free summand is
     returned as it is, with the identity: nothing is split, and nothing
     is checked.
@@ -136,9 +151,7 @@ def reduce_module(m: GradedModule) -> Decomposition:
     free_part = tuple(d for d, js in picked.items() for _ in js)
     if not free_part:
         return Decomposition(m, (), m, partial(ModuleMap.identity, m))
-    violations = validate(m)
-    if violations:
-        raise ValueError(f"not a module: {violations[0]}")
+    _check_module(m)
     basis: dict[int, list[int]] = {}
     spans: dict[int, F2Span] = {}
     actions: dict[int, dict[int, F2Matrix]] = {}
@@ -198,14 +211,23 @@ def _splitting_map(m: GradedModule, picked: dict[int, list[int]], reduced: Grade
 
 def loop(m: GradedModule) -> GradedModule:
     """The syzygy functor: reduced part of (augmentation ideal) (x) m."""
-    ideal = aug_ideal_module(m.algebra)
-    return reduce_module(tensor(ideal, m)).reduced_part
+    return _reduced_product(aug_ideal_module(m.algebra), m)
 
 
 def oloop(m: GradedModule) -> GradedModule:
     """The cosyzygy functor: reduced part of (dual augmentation ideal) (x) m."""
-    ideal = aug_ideal_module(m.algebra)
-    return reduce_module(tensor(dual(ideal), m)).reduced_part
+    return _reduced_product(dual(aug_ideal_module(m.algebra)), m)
+
+
+def _reduced_product(ideal: GradedModule, m: GradedModule) -> GradedModule:
+    """The reduced part of ideal (x) m.  When ``reduce_module`` refuses the
+    product, m is no module (ideal (x) m is one when m is), and the error
+    names m's own first violation."""
+    try:
+        return reduce_module(tensor(ideal, m)).reduced_part
+    except NotAModuleError:
+        _check_module(m)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +402,16 @@ def iso_test(m: GradedModule, n: GradedModule) -> ModuleMap | None:
     """Search for an isomorphism m -> n.
 
     Cheap invariants (graded dimensions, Margolis homology, free ranks)
-    rule out quickly.  Otherwise the intertwining system is solved once,
-    into packed solutions s_1..s_h, and the search runs over their
-    combinations: a candidate is invertible when each degree's block has
-    independent rows, and only the winner is unpacked into a verified
-    ModuleMap.  An isomorphism has a 1 in every 1x1 block, so the search
-    is restricted first (``_restrict``) to the affine subspace base +
-    span(d_1..d_k) of maps that do; when it is empty the answer is a
-    certified negative (None) with no search.  Base comes first, then
+    rule out quickly; an argument that is no module stops the Margolis
+    homology or ``reduce_module`` with a NotAModuleError.  Otherwise the
+    intertwining system is solved once, into packed solutions s_1..s_h,
+    and the search runs over their combinations: a candidate is
+    invertible when each degree's block has independent rows, and only
+    the winner is unpacked into a verified ModuleMap.  An isomorphism has
+    a 1 in every 1x1 block, so the search is restricted first
+    (``_restrict``) to the affine subspace base + span(d_1..d_k) of maps
+    that do; when it is empty the answer is a certified negative (None)
+    with no search.  Base comes first, then
     base xor each single d_i, then base xor the combinations of the
     ``_candidates`` masks over d_1..d_k.  When all 2^k - 1 masks fit in
     ``ISO_BUDGET`` they are all swept, and finding none is a certified
@@ -407,7 +431,7 @@ def iso_test(m: GradedModule, n: GradedModule) -> ModuleMap | None:
     if m.is_zero():
         return ModuleMap.zero(m, n)
     for s in _available_primitives(m.algebra):
-        if margolis_homology(m, s) != margolis_homology(n, s):
+        if _margolis(m, s) != _margolis(n, s):
             return None
     if m.algebra.basis_dim(m.algebra.top_degree) == 1:
         dm, dn = reduce_module(m), reduce_module(n)
@@ -429,6 +453,16 @@ def iso_test(m: GradedModule, n: GradedModule) -> ModuleMap | None:
     raise InconclusiveIsomorphism(
         f"no isomorphism found within budget (hom space dimension {len(sols)}, "
         f"{k} with a 1 in every 1x1 block)")
+
+
+def _margolis(m: GradedModule, s: int) -> dict[int, int]:
+    """``margolis_homology(m, s)``.  Q_s squares to zero on every module,
+    so when it does not on m, the error names m's first violation."""
+    try:
+        return margolis_homology(m, s)
+    except ArithmeticError:
+        _check_module(m)
+        raise
 
 
 def selfdual_shift(m: GradedModule, stable: bool = False) -> int | None:

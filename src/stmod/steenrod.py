@@ -15,11 +15,17 @@ b_j.x, with no further Milnor product.  Modules are specified by
 generator actions alone: every basis element acts through its left
 decomposition b = sum_k g_k.c_k over the generators, read off the left
 products, while the word expressions are what the Wall relations are
-written in.
+written in.  The presets A(0), ..., A(3) and E(0), ..., E(3) skip the
+closure: the state it reaches is pinned in tables/*.json and assembled by
+the same code that ends every closure (``_assemble``), and the Wall
+relations of A(0), ..., A(3) are pinned as words (``wall_relations``).
+The tests rebuild both from scratch and compare.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import re
 from collections import defaultdict
 from functools import cached_property, lru_cache
@@ -423,12 +429,13 @@ class SubHopfAlgebra:
     lookup rescans Milnor tuples; a caller that already knows the basis
     degrees passes them as ``basis_degrees``.
 
-    ``subalgebra_closure`` adds one ``F2Span`` per degree over the Milnor
-    terms of that degree, each combo packed over the degree's basis as in
-    ``left`` (a hand-built algebra has none, and contains only zero), and
-    for ``left`` and ``right_products`` the right columns of its search,
-    each accepted word's (parent word, last letter, degree) and the
-    expressions as word ids.
+    ``_assemble``, which ends ``subalgebra_closure`` and builds the pinned
+    presets, adds one ``F2Span`` per degree over the Milnor terms of that
+    degree, each combo packed over the degree's basis as in ``left`` (a
+    hand-built algebra has none, and contains only zero), and for ``left``
+    and ``right_products`` the right columns of the search, each accepted
+    word's (parent word, last letter, degree) and the expressions as word
+    ids.
     """
 
     def __init__(self, ambient: int, name: str,
@@ -706,9 +713,10 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
     = value(w) * gens[gi].  A word is accepted only when its value is
     independent of its degree's span so far, so no recorded word evaluates
     to zero; it records its parent word and last letter, and each new
-    echelon vector the word combination that produced it.  The algebra
-    keeps the columns and word records for ``left`` and ``right_products``,
-    per-degree spans over its sorted basis.
+    echelon vector the word combination that produced it.  ``_assemble``
+    turns that state into the algebra, which keeps the columns and word
+    records for ``left`` and ``right_products``, per-degree spans over its
+    sorted basis.
     """
     gens = tuple(gens)
     for g in gens:
@@ -742,7 +750,6 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
 
     spans: dict[int, F2Span] = {}
     members: dict[int, list[int]] = {}  # degree -> its accepted words, by id
-    words: list[Word] = []
     records: list[tuple[int, int, int]] = []  # parent word, last letter, degree
     found: list[tuple[int, int, frozenset[int]]] = []  # degree, residual, word ids
     queue: list[tuple[int, int]] = []  # value, word id
@@ -755,11 +762,10 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
         # reduce() reports which accepted vectors of degree d were folded
         # in, so the residual's expression is the new word plus their words
         ids = members.setdefault(d, [])
-        w = len(words)
+        w = len(records)
         span.add(residual, combo ^ (1 << len(ids)))
         found.append((d, residual, frozenset({w}).union(ids[i] for i in vec_support(combo))))
         ids.append(w)
-        words.append(words[up] + (gi,) if gi >= 0 else ())
         records.append((up, gi, d))
         queue.append((vec, w))
 
@@ -780,23 +786,43 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
             if child:
                 push(child, d + g, w, gi)
 
-    # canonical order: by degree, then by echelon vector
-    order = sorted(range(len(found)), key=lambda i: found[i][:2])
-    alg = SubHopfAlgebra(ambient=ambient,
-                         name=name or ("F_2(" + ", ".join(names) + ")"),
-                         generators=gens, gen_names=tuple(names),
+    found.sort(key=lambda f: f[:2])  # canonical order: by degree, then by echelon vector
+    return _assemble(gens, ambient, tuple(names), name or ("F_2(" + ", ".join(names) + ")"),
+                     kind, kind_param, records, found, right)
+
+
+def _assemble(gens: tuple[SteenrodElt, ...], ambient: int, names: tuple[str, ...], name: str,
+              kind: str, kind_param: int, words: list[tuple[int, int, int]],
+              basis: list[tuple[int, int, frozenset[int]]],
+              right: list[dict[int, list]]) -> SubHopfAlgebra:
+    """The algebra that closing ``gens`` inside A(ambient) reaches, from the
+    closure's raw state in canonical order.
+
+    ``words`` holds each accepted word as (parent word id, last letter,
+    degree), word 0 being the empty word (-1, -1, 0); ``basis`` holds each
+    basis element, sorted by degree and then by vector, as (degree, its
+    vector over the Milnor terms of that degree, the ids of the words that
+    sum to it); ``right[gi][d][bit]`` is the column term(d, bit) * gens[gi]
+    (None where no accepted word reached the term).  ``subalgebra_closure``
+    ends here, and so do the pinned presets, on the same state read from
+    their tables.  The per-degree spans are rebuilt over the sorted basis.
+    """
+    terms = _graded_basis(ambient)[0]
+    spelled: list[Word] = []
+    for up, gi, _ in words:
+        spelled.append(spelled[up] + (gi,) if gi >= 0 else ())
+    alg = SubHopfAlgebra(ambient=ambient, name=name, generators=gens, gen_names=names,
                          basis=tuple(SteenrodElt(ambient, frozenset(
-                             terms[found[i][0]][r] for r in vec_support(found[i][1])))
-                             for i in order),
-                         expressions=tuple(frozenset(words[w] for w in found[i][2])
-                                           for i in order),
+                             terms[d][r] for r in vec_support(vec))) for d, vec, _ in basis),
+                         expressions=tuple(frozenset(spelled[w] for w in ids)
+                                           for _, _, ids in basis),
                          kind=kind, kind_param=kind_param,
-                         basis_degrees=tuple(found[i][0] for i in order))
-    for i, j in enumerate(order):
-        alg._spans[found[j][0]].add(found[j][1], 1 << alg.degree_position[i])
+                         basis_degrees=tuple(d for d, _, _ in basis))
+    for i, (d, vec, _) in enumerate(basis):
+        alg._spans[d].add(vec, 1 << alg.degree_position[i])
     alg._right = right
-    alg._words = records
-    alg._expression_ids = tuple(found[i][2] for i in order)
+    alg._words = words
+    alg._expression_ids = tuple(ids for _, _, ids in basis)
     return alg
 
 
@@ -815,33 +841,68 @@ def A(n: int, ambient: int | None = None) -> SubHopfAlgebra:
     the Milnor basis of A(n), since some basis elements are sums of several
     Milnor basis elements (10 of A(2)'s 64, 537 of A(3)'s 1,024).  Passing
     a larger ambient embeds A(n) in A(ambient).  Each algebra is built once:
-    A(n) and A(n, n) are the same object.
+    A(n) and A(n, n) are the same object.  A(0), ..., A(3) in their own
+    ambient are read from pinned tables (``_preset``), the others closed.
     """
     return _preset("A", n, n if ambient is None else ambient)
 
 
 def E(n: int, ambient: int | None = None) -> SubHopfAlgebra:
     """The exterior subalgebra E(n) on the Milnor primitives Q_0, ..., Q_n,
-    built once: E(n) and E(n, n) are the same object."""
+    built once: E(n) and E(n, n) are the same object.  E(0), ..., E(3) in
+    their own ambient are read from pinned tables (``_preset``)."""
     return _preset("E", n, n if ambient is None else ambient)
 
 
-@lru_cache(maxsize=None)
-def _preset(kind: str, n: int, ambient: int) -> SubHopfAlgebra:
-    """A(n) (kind "A") or E(n) (kind "E") inside A(ambient)."""
+#: A(n) and E(n) inside A(n) for n <= _PINNED come from tables/, and the
+#: Wall relations of A(n) for n <= _PINNED are pinned below.
+_PINNED = 3
+_TABLES = os.path.join(os.path.dirname(__file__), "tables")
+
+
+def _check_ambient(kind: str, n: int, ambient: int) -> None:
     if not 0 <= n <= ambient:
         raise ValueError("need 0 <= n <= ambient")
     if ambient > MAX_AMBIENT:
         what = (f"A({ambient}) is disabled by default (dim 2^((n+1)(n+2)/2))" if kind == "A"
                 else f"E({n}) inside A({ambient}) is disabled by default")
         raise ValueError(f"{what}; raise stmod.steenrod.MAX_AMBIENT to construct it anyway")
+
+
+def _preset_generators(kind: str, n: int, ambient: int) -> tuple[tuple[SteenrodElt, ...],
+                                                                 tuple[str, ...]]:
+    """The generators of A(n) (Sq^1, ..., Sq^{2^n}) or E(n) (Q_0, ..., Q_n)
+    inside A(ambient), and their names."""
     if kind == "A":
-        gens = tuple(sq(2 ** i, ambient) for i in range(n + 1))
-        names = tuple(f"Sq^{2**i}" for i in range(n + 1))
-    else:
-        gens = tuple(milnor_primitive(s, ambient) for s in range(n + 1))
-        names = tuple(f"P(1,{s})" for s in range(n + 1))
+        return (tuple(sq(2 ** i, ambient) for i in range(n + 1)),
+                tuple(f"Sq^{2**i}" for i in range(n + 1)))
+    return (tuple(milnor_primitive(s, ambient) for s in range(n + 1)),
+            tuple(f"P(1,{s})" for s in range(n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _preset(kind: str, n: int, ambient: int) -> SubHopfAlgebra:
+    """A(n) (kind "A") or E(n) (kind "E") inside A(ambient).
+
+    For ambient == n <= 3 the closure of the generators is not run: its
+    raw state, in the canonical order ``_assemble`` takes, is read from
+    tables/<kind><n>.json.  The tests rebuild each table from a fresh
+    ``subalgebra_closure`` and compare it byte for byte
+    (tests/closure_tables.py, which also rewrites them).  A missing table is
+    an error.  A smaller algebra in a larger ambient is closed here.
+    """
+    _check_ambient(kind, n, ambient)
+    gens, names = _preset_generators(kind, n, ambient)
     label = f"{kind}({n})" if ambient == n else f"{kind}({n})<A({ambient})"
+    if n == ambient <= _PINNED:
+        with open(os.path.join(_TABLES, f"{kind}{n}.json"), "rb") as fh:
+            table = json.load(fh)
+        # each decoded part is dropped once converted; the columns are kept
+        return _assemble(gens, ambient, names, label, kind, n,
+                         [tuple(w) for w in table.pop("words")],
+                         [(d, vec, frozenset(ids)) for d, vec, ids in table.pop("basis")],
+                         [{int(d): cols for d, cols in by_degree.items()}
+                          for by_degree in table.pop("right")])
     return subalgebra_closure(gens, ambient, names=names, name=label,
                               kind=kind, kind_param=n)
 
@@ -883,6 +944,21 @@ def _relation_label(words) -> str:
     return " + ".join(_word_label(w) for w in ws)
 
 
+#: The Wall relations of A(3), each as its words in the letters i of
+#: Sq^{2^i}: Sq^1Sq^1; the relation led by Sq^{2^t}Sq^{2^t} for t = 1, 2, 3;
+#: the commutator-style relation of Sq^{2^r} and Sq^{2^s} for (r, s) = (2, 0),
+#: (3, 0), (3, 1).  Those of A(n) are the ones in the letters 0..n.
+_WALL_WORDS: tuple[tuple[Word, ...], ...] = (
+    ((0, 0),),
+    ((1, 1), (0, 1, 0)),
+    ((2, 2), (1, 1, 2), (1, 2, 1)),
+    ((3, 3), (2, 2, 3), (2, 3, 2), (2, 2, 2, 2)),
+    ((0, 2), (2, 0), (1, 0, 1)),
+    ((0, 3), (3, 0), (0, 2, 2), (2, 0, 2)),
+    ((1, 3), (3, 1), (2, 1, 2), (0, 2, 2, 0)),
+)
+
+
 @lru_cache(maxsize=None)
 def wall_relations(n: int) -> tuple[WallRelation, ...]:
     """The minimal relation set among the generators Sq^{2^i} of A(n).
@@ -893,29 +969,16 @@ def wall_relations(n: int) -> tuple[WallRelation, ...]:
     each 0 <= s <= r-2 <= n-2 a commutator-style relation
     Sq^{2^r}Sq^{2^s} + Sq^{2^s}Sq^{2^r} plus words in A(r-1).  Leading words
     already killed by the Sq^1 Sq^1 relation are omitted, as in the
-    classical displays.
+    classical displays.  The closing words are A(t-1)'s (or A(r-1)'s) words
+    for the leading words' value, pinned here for n <= 3, so no algebra is
+    built; the tests rebuild them that way and compare.  Past
+    ``MAX_AMBIENT`` this raises the error A(n) itself raises.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    gens = tuple(sq(2 ** i, n) for i in range(n + 1))
-    rels = [WallRelation(n, frozenset({(0, 0)}), "Sq^1Sq^1")]
-    for t in range(1, n + 1):
-        lead = [(t, t), (t - 1, t, t - 1), (t - 1, t - 1, t)]
-        value = zero(n)
-        for w in lead:
-            value = value + _word_value(gens, n, w)
-        kept = [w for w in lead
-                if not any(w[i] == w[i + 1] == 0 for i in range(len(w) - 1))]
-        # value is 0 at t = 1 (Sq^2Sq^2 = Sq^1Sq^2Sq^1), where A(0) need not be built
-        words = frozenset(kept) ^ (A(t - 1, n).words(value) if value.terms else frozenset())
-        rels.append(WallRelation(n, words, _relation_label(words)))
-    for r in range(2, n + 1):
-        for s in range(0, r - 1):
-            lead = [(r, s), (s, r)]
-            value = _word_value(gens, n, (r, s)) + _word_value(gens, n, (s, r))
-            words = frozenset(lead) ^ A(r - 1, n).words(value)
-            rels.append(WallRelation(n, words, _relation_label(words)))
-    return tuple(rels)
+    _check_ambient("A", n, n)
+    if n > _PINNED:
+        raise ValueError(f"the Wall relations are pinned for A(0)..A({_PINNED}) only")
+    return tuple(WallRelation(n, frozenset(ws), _relation_label(ws))
+                 for ws in _WALL_WORDS if max(map(max, ws)) <= n)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from stmod.module import (aug_ideal_module, direct_sum, dual, hopf_quotient,
                           regular_module, suspend, tensor, trivial_module,
                           ModuleMap)
 from stmod.resolve import ext_chart, ext_groups
-from stmod.stable import (InconclusiveIsomorphism, _candidates, _unpack, check_exact,
-                          hom_space, iso_test, loop, oloop, reduce_module,
+from stmod.stable import (InconclusiveIsomorphism, NotAModuleError, _candidates, _unpack,
+                          check_exact, hom_space, iso_test, loop, oloop, reduce_module,
                           selfdual_shift)
 from stmod.steenrod import sq
 from flips import seeded_flips
@@ -117,6 +117,8 @@ def test_reduce_command_on_a_non_module_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {FLIP0_VIOLATION}\n"
+    assert cli.main(["loop", "--file", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {FLIP0_VIOLATION}\n"
 
 
 def _margolis_defined(m):
@@ -129,25 +131,25 @@ def _margolis_defined(m):
 
 
 def test_stable_tools_refuse_a_non_module():
-    """loop, iso_test and the stable self-duality shift reduce their input
-    and so refuse flip 0 with the violation ``validate`` names: the same
-    one as reduce_module for the stable shift, and for loop the same
-    relation on (augmentation ideal) (x) flip.  iso_test(flip, flip) stops
-    earlier, at Margolis homology's own check that Q_0 squares to zero;
-    a flip that passes that check reaches reduce_module."""
+    """loop, oloop and iso_test refuse every flip with the first violation
+    ``validate`` names on the flip itself: loop and oloop although they
+    reduce (augmentation ideal) (x) flip, iso_test whether it stops at
+    Margolis homology (Q_s not squaring to zero) or reaches
+    reduce_module.  The stable self-duality shift refuses flip 0 as
+    reduce_module does."""
     flips = _joker_square_flips()
-    flip = flips[0]
-    with pytest.raises(ValueError, match=re.escape(FLIP0_VIOLATION)):
-        selfdual_shift(flip, stable=True)
-    with pytest.raises(ValueError, match=r"^not a module: relation Sq\^1Sq\^1 is nonzero on b1\|"):
-        loop(flip)
-    with pytest.raises(ArithmeticError, match="Q_0 does not square to zero"):
-        iso_test(flip, flip)
-    squaring = [f for f in flips if _margolis_defined(f)]
-    assert squaring
-    for f in squaring[:3]:
-        with pytest.raises(ValueError, match=re.escape(f"not a module: {md.validate(f)[0]}")):
-            iso_test(f, f)
+    with pytest.raises(NotAModuleError, match=f"^{re.escape(FLIP0_VIOLATION)}$"):
+        selfdual_shift(flips[0], stable=True)
+    squaring = {i for i, f in enumerate(flips) if _margolis_defined(f)}
+    assert 0 not in squaring and 0 < len(squaring) < len(flips)
+    for tool in (loop, oloop, lambda f: iso_test(f, f)):
+        verdicts = []
+        for f in flips:
+            with pytest.raises(NotAModuleError) as caught:
+                tool(f)
+            verdicts.append(str(caught.value))
+        assert verdicts == [f"not a module: {md.validate(f)[0]}" for f in flips]
+        assert verdicts[0] == FLIP0_VIOLATION
 
 
 def test_isomorphism_is_built_only_when_read(monkeypatch, tmp_path, capsys, joker):

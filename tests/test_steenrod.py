@@ -1,14 +1,19 @@
-"""Milnor arithmetic, subalgebra closures, Wall relations."""
+"""Milnor arithmetic, subalgebra closures, the pinned preset tables, Wall
+relations."""
 
+import ast
+import fnmatch
 import functools
 import hashlib
 import operator
+import os
 import random
 import re
 
 import pytest
 from hypothesis import example, given, strategies as hst
 
+import closure_tables
 from stmod import fixtures, steenrod as st
 from stmod.f2linalg import F2Span, vec_support
 from stmod.steenrod import (Sq, antipode, coproduct, milnor_primitive,
@@ -513,14 +518,21 @@ def test_a3_outputs_are_unchanged():
     assert hashlib.sha256(repr(data).encode()).hexdigest() == A3_DIGEST
 
 
+def _fresh_closure(alg):
+    return st.subalgebra_closure(alg.generators, alg.ambient)
+
+
 @pytest.mark.parametrize("make, reached", [
     (lambda: st.A(3), 4 * 1024), (lambda: st.E(3), 4 * 16),
+    (lambda: _fresh_closure(st.A(3)), 4 * 1024), (lambda: _fresh_closure(st.E(3)), 4 * 16),
     (lambda: fixtures.algebra_B(2), 2 * 6),
-], ids=["A3", "E3", "B<A2"])
+], ids=["A3", "E3", "A3-closure", "E3-closure", "B<A2"])
 def test_closure_columns_match_reference_products(make, reached):
     """Each right column the closure computed, term(d, bit) * generator,
     equals the unpruned reference product packed over its degree: the
-    chain walk for the Sq(k) generators, ``_term_product`` for the rest."""
+    chain walk for the Sq(k) generators, ``_term_product`` for the rest.
+    A(3) and E(3) are checked as loaded from their tables and as closed
+    afresh."""
     alg = make()
     terms, place = st._graded_basis(alg.ambient)
     checked = 0
@@ -536,6 +548,66 @@ def test_closure_columns_match_reference_products(make, reached):
                 assert col == want, (alg.name, gi, terms[d][bit])
                 checked += 1
     assert checked == reached
+
+
+# ---------------------------------------------------------------------------
+# the pinned preset tables
+
+PRESET_IDS = [f"{kind}{n}" for kind, n in closure_tables.PRESETS]
+
+
+@pytest.mark.parametrize("kind, n", closure_tables.PRESETS, ids=PRESET_IDS)
+def test_committed_tables_match_a_fresh_closure(kind, n):
+    """Each table is byte for byte what tests/closure_tables.py writes from
+    a fresh ``subalgebra_closure`` of the preset's generators."""
+    with open(closure_tables.table_path(kind, n), "rb") as fh:
+        assert fh.read() == closure_tables.table_text(kind, n).encode("ascii")
+
+
+def test_tables_directory_holds_the_pinned_presets_only():
+    assert sorted(os.listdir(st._TABLES)) == sorted(f"{i}.json" for i in PRESET_IDS)
+
+
+@pytest.mark.parametrize("kind, n", closure_tables.PRESETS, ids=PRESET_IDS)
+def test_pinned_presets_build_without_the_closure(monkeypatch, kind, n):
+    """With ``subalgebra_closure`` refusing to run, the uncached preset
+    builder still builds each pinned preset, and what it loads equals a
+    fresh closure of the same generators field by field: basis,
+    expressions, spans, right columns, words and expression ids."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pinned preset ran the closure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(st, "subalgebra_closure", refuse)
+        loaded = st._preset.__wrapped__(kind, n, n)
+    fresh = st.subalgebra_closure(loaded.generators, n, names=loaded.gen_names,
+                                  name=loaded.name, kind=kind, kind_param=n)
+    for field in ("ambient", "name", "generators", "gen_names", "gen_degrees", "basis",
+                  "expressions", "basis_degrees", "degree_position", "kind", "kind_param",
+                  "_right", "_words", "_expression_ids"):
+        assert getattr(loaded, field) == getattr(fresh, field), field
+    assert all(type(w) is tuple for w in loaded._words)
+    assert all(type(ids) is frozenset for ids in loaded._expression_ids)
+    assert ({d: span.rows() for d, span in loaded._spans.items()}
+            == {d: span.rows() for d, span in fresh._spans.items()})
+
+
+def test_every_package_data_file_is_declared():
+    """Every file in the package that is not Python source matches a glob
+    of [tool.setuptools.package-data], so an installed stmod keeps the
+    tables and fixtures."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        section = fh.read().split("[tool.setuptools.package-data]", 1)[1]
+    globs = ast.literal_eval(re.search(r"^stmod\s*=\s*(\[.*?\])", section, re.M | re.S)[1])
+    package = os.path.join(root, "src", "stmod")
+    data = []
+    for here, dirs, files in os.walk(package):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        data += [os.path.relpath(os.path.join(here, f), package).replace(os.sep, "/")
+                 for f in files if not f.endswith(".py")]
+    assert any(path.startswith("tables/") for path in data)
+    assert [path for path in data if not any(fnmatch.fnmatch(path, g) for g in globs)] == []
 
 
 def test_a3_expressions_evaluate_back_on_a_sample():
@@ -838,6 +910,53 @@ def test_unit_has_no_left_decomposition():
 # Wall relations and doubling
 
 
+def built_wall_relations(n):
+    """The Wall relations of A(n), built: each relation's leading words
+    closed up by the words that A(t-1), or A(r-1), inside A(n) spells their
+    value with (``SubHopfAlgebra.words``)."""
+    gens = tuple(sq(2 ** i, n) for i in range(n + 1))
+    rels = [st.WallRelation(n, frozenset({(0, 0)}), "Sq^1Sq^1")]
+    for t in range(1, n + 1):
+        lead = [(t, t), (t - 1, t, t - 1), (t - 1, t - 1, t)]
+        value = zero(n)
+        for w in lead:
+            value = value + st._word_value(gens, n, w)
+        kept = [w for w in lead
+                if not any(w[i] == w[i + 1] == 0 for i in range(len(w) - 1))]
+        # value is 0 at t = 1 (Sq^2Sq^2 = Sq^1Sq^2Sq^1)
+        words = frozenset(kept) ^ (st.A(t - 1, n).words(value) if value.terms else frozenset())
+        rels.append(st.WallRelation(n, words, st._relation_label(words)))
+    for r in range(2, n + 1):
+        for s in range(0, r - 1):
+            lead = [(r, s), (s, r)]
+            value = st._word_value(gens, n, (r, s)) + st._word_value(gens, n, (s, r))
+            words = frozenset(lead) ^ st.A(r - 1, n).words(value)
+            rels.append(st.WallRelation(n, words, st._relation_label(words)))
+    return tuple(rels)
+
+
+@pytest.mark.parametrize("n", range(st._PINNED + 1))
+def test_pinned_wall_relations_match_the_builder(n):
+    assert st.wall_relations(n) == built_wall_relations(n)
+    assert [r.label for r in st.wall_relations(n)] == [r.label for r in built_wall_relations(n)]
+
+
+def test_wall_relations_past_the_pins(monkeypatch):
+    """Past MAX_AMBIENT, wall_relations raises the error A(n) raises; with
+    the knob raised, past the pinned A(3) it refuses rather than answer
+    with A(3)'s relations."""
+    with pytest.raises(ValueError) as preset:
+        st.A(4)
+    with pytest.raises(ValueError) as relations:
+        st.wall_relations(4)
+    assert str(relations.value) == str(preset.value)
+    monkeypatch.setattr(st, "MAX_AMBIENT", 4)
+    with pytest.raises(ValueError, match=r"pinned for A\(0\)..A\(3\) only"):
+        st.wall_relations(4)
+    with pytest.raises(ValueError, match="need 0 <= n"):
+        st.wall_relations(-1)
+
+
 def test_wall_relations_n0():
     rels = st.wall_relations(0)
     assert [r.label for r in rels] == ["Sq^1Sq^1"]
@@ -856,7 +975,7 @@ def test_wall_relations_n2_include_classical_displays():
 
 
 def test_wall_relations_evaluate_to_zero():
-    for n in (0, 1, 2):
+    for n in range(st._PINNED + 1):
         for rel in st.wall_relations(n):
             assert rel.element().is_zero(), rel.label
 
