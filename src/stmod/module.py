@@ -209,12 +209,6 @@ class ModuleMap:
                     f"map does not commute with {source.algebra.gen_names[gi]} "
                     f"at degree {d} on {source.labels[d][j]}")
 
-    def mat(self, d: int) -> F2Matrix:
-        m = self.mats.get(d)
-        if m is None:
-            return F2Matrix.zero(self.target.dim(d + self.shift), self.source.dim(d))
-        return m
-
     def _equivariance_defect(self):
         """(generator, degree, source column) of the first place where
         g*phi and phi*g differ, or None when the map is equivariant."""
@@ -288,10 +282,12 @@ class ModuleMap:
         return all(m.is_zero() for m in self.mats.values())
 
     def is_bijective(self) -> bool:
+        """Square and of full rank in every degree where source or target
+        is nonzero; a block left out there is zero, so it is not."""
         degs = set(self.source.degrees()) | {d - self.shift for d in self.target.degrees()}
         for d in degs:
-            m = self.mat(d)
-            if m.rows != m.cols or rank(m) != m.rows:
+            m = self.mats.get(d)
+            if m is None or m.rows != m.cols or rank(m) != m.rows:
                 return False
         return True
 

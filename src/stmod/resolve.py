@@ -21,8 +21,10 @@ every basis element of positive degree is b = sum_k g_k.c_k, and
     d(b.g) = sum_k g_k . d(c_k.g),
 
 where the d(c_k.g) are slot images of lower degree, already computed, and
-g_k acts on the stage below through cached columns: the module's action
+g_k acts on the stage below through its columns: the module's action
 matrices at stage 0, the algebra's left products g_k.b_j on a free stage.
+A stage stores its slots, slot images and generator images, and computes
+those columns when they are read (once per degree, by the stage above).
 
 Generator counts by (stage, internal degree) are the Ext dimensions;
 ``ext_groups`` recomputes them (for any coefficient module) by honest rank
@@ -49,7 +51,10 @@ class FreeStage:
 
     In degree t the slots of each generator form one block, ordered like
     ``algebra.basis_by_degree``, so slot (g, b) sits at the block's offset
-    plus ``algebra.degree_position[b]``.
+    plus ``algebra.degree_position[b]``.  A stage stores its slots, slot
+    images and generator images; the columns of the algebra's generators
+    (``columns``) and of its other basis elements (``act``) are computed
+    when they are read.
     """
 
     def __init__(self, below: "FreeStage | GradedModule"):
@@ -60,8 +65,6 @@ class FreeStage:
         self._basis: dict[int, list[tuple[int, int]]] = {}
         self._offsets: dict[int, list[int]] = {}     # t -> block offset per generator
         self._diff: dict[int, list[int]] = {}        # t -> d of each basis(t) slot
-        self._columns: dict[tuple[int, int], list[int]] = {}
-        self._act_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def add_generator(self, degree: int, image: int):
         """A generator with d(g) = image, in a degree >= every earlier
@@ -69,8 +72,6 @@ class FreeStage:
         gi = len(self.gen_degrees)
         self.gen_degrees.append(degree)
         self.images.append(image)
-        self._columns.clear()
-        self._act_cache.clear()
         for t in [t for t in self._basis if t > degree]:
             del self._basis[t], self._offsets[t]
         for t in [t for t in self._diff if t > degree]:
@@ -105,21 +106,17 @@ class FreeStage:
 
     def columns(self, k: int, t: int) -> list[int]:
         """Columns of the algebra's generator k on the degree-t slots:
-        g_k.(b.g) = (g_k.b).g, one shifted left product per slot."""
-        key = (k, t)
-        hit = self._columns.get(key)
-        if hit is None:
-            left, target = self.algebra.left, t + self.algebra.gen_degrees[k]
-            self.basis(target)
-            offsets = self._offsets[target]
-            hit = [left(k, bi) << offsets[gi] for gi, bi in self.basis(t)]
-            self._columns[key] = hit
-        return hit
+        g_k.(b.g) = (g_k.b).g, one shifted left product per slot.  Built
+        on each call: the stage above reads each (k, t) once."""
+        left, target = self.algebra.left, t + self.algebra.gen_degrees[k]
+        self.basis(target)
+        offsets = self._offsets[target]
+        return [left(k, bi) << offsets[gi] for gi, bi in self.basis(t)]
 
     def act(self, t: int, alg_idx: int, vec: int) -> int:
         """Left action of algebra basis element alg_idx on a degree-t vector,
         through its columns from the left decomposition."""
-        return apply_cols(basis_columns(self, alg_idx, t, self._act_cache), vec)
+        return apply_cols(basis_columns(self, alg_idx, t, {}), vec)
 
     def differential(self, t: int) -> list[int]:
         """d(b.g) for the degree-t slots (g, b), in ``basis(t)`` order.

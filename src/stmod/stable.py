@@ -66,23 +66,18 @@ class Decomposition(Value, _PendingBuild):
 
     ``isomorphism`` is the module map direct_sum(F, reduced_part) -> module;
     it sends b (x) x in F to b*x and includes the reduced part.  It is given
-    either as that ModuleMap or as a function of no arguments that builds
-    it, which is called on the first read and its result kept.  From
-    ``reduce_module`` it is the identity when free_part is empty, and
-    otherwise a map checked equivariant as it is built, on a module that
-    ``validate`` passed.
+    as a function of no arguments that builds it, which is called on the
+    first read and its result kept.  From ``reduce_module`` it is the
+    identity when free_part is empty, and otherwise a map checked
+    equivariant as it is built, on a module that ``validate`` passed.
     """
 
     __slots__ = ("module", "free_part", "reduced_part", "isomorphism")
 
     def __init__(self, module: GradedModule, free_part: tuple[int, ...],
-                 reduced_part: GradedModule,
-                 isomorphism: ModuleMap | Callable[[], ModuleMap]):
-        if callable(isomorphism):
-            self._assign(module, free_part, reduced_part)
-            self._build = isomorphism
-        else:
-            self._assign(module, free_part, reduced_part, isomorphism)
+                 reduced_part: GradedModule, isomorphism: Callable[[], ModuleMap]):
+        self._assign(module, free_part, reduced_part)
+        self._build = isomorphism
 
     def __getattr__(self, name):
         # reached only for an unset slot: the isomorphism before its first read
@@ -466,7 +461,9 @@ def _margolis(m: GradedModule, s: int) -> dict[int, int]:
 
 
 def selfdual_shift(m: GradedModule, stable: bool = False) -> int | None:
-    """The d with dual(m) ~ m[-d], if any; stable compares reduced parts."""
+    """The d with dual(m) ~ m[-d], if any; stable compares reduced parts.
+    NotAModuleError, naming the first violation, when m is no module."""
+    _check_module(m)
     work = reduce_module(m).reduced_part if stable else m
     if work.is_zero():
         return 0

@@ -470,7 +470,6 @@ class SubHopfAlgebra:
         self.kind = kind  # "A", "E" or "custom"; presets tag themselves
         self.kind_param = kind_param
         self._spans: defaultdict[int, F2Span] = defaultdict(F2Span)
-        self._mult_table: dict = {}
         self._left_table: dict[tuple[int, int], int] = {}
         self._left_words: dict[int, list[int]] = {}  # k -> _left_values(k)
         self._left_decomp: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -532,12 +531,7 @@ class SubHopfAlgebra:
 
     def mult(self, i: int, j: int) -> tuple[int, ...]:
         """basis[i] * basis[j] decomposed over the basis (sorted indices)."""
-        key = (i, j)
-        hit = self._mult_table.get(key)
-        if hit is None:
-            hit = tuple(self.decompose(self.basis[i] * self.basis[j]))
-            self._mult_table[key] = hit
-        return hit
+        return tuple(self.decompose(self.basis[i] * self.basis[j]))
 
     def words(self, e: SteenrodElt) -> frozenset[Word]:
         """Words summing to e: its decomposition's expressions, summed mod 2."""

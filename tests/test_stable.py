@@ -121,6 +121,19 @@ def test_reduce_command_on_a_non_module_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {FLIP0_VIOLATION}\n"
 
 
+def test_check_selfdual_command_on_a_non_module_exits_one(tmp_path, capsys):
+    """Comparing flip 59 with its dual raises nothing: without its own
+    check the command would print ``not self-dual`` and exit 0."""
+    flip = _joker_square_flips()[59]
+    path = tmp_path / "flip.mod"
+    path.write_text(modfile.serialize_module(flip))
+    assert cli.main(["check-selfdual", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: not a module: relation Sq^2Sq^2 + Sq^1Sq^2Sq^1 "
+                            "is nonzero on q2_0|q0_0 (degree -2)\n")
+
+
 def _margolis_defined(m):
     try:
         for s in (0, 1):
@@ -131,18 +144,18 @@ def _margolis_defined(m):
 
 
 def test_stable_tools_refuse_a_non_module():
-    """loop, oloop and iso_test refuse every flip with the first violation
-    ``validate`` names on the flip itself: loop and oloop although they
-    reduce (augmentation ideal) (x) flip, iso_test whether it stops at
-    Margolis homology (Q_s not squaring to zero) or reaches
-    reduce_module.  The stable self-duality shift refuses flip 0 as
-    reduce_module does."""
+    """loop, oloop, iso_test and selfdual_shift in both modes refuse every
+    flip with the first violation ``validate`` names on the flip itself:
+    loop and oloop although they reduce (augmentation ideal) (x) flip,
+    iso_test whether it stops at Margolis homology (Q_s not squaring to
+    zero) or reaches reduce_module, and selfdual_shift before it compares
+    the flip with its dual, a comparison that raises nothing on 5 flips
+    (59 among them)."""
     flips = _joker_square_flips()
-    with pytest.raises(NotAModuleError, match=f"^{re.escape(FLIP0_VIOLATION)}$"):
-        selfdual_shift(flips[0], stable=True)
     squaring = {i for i, f in enumerate(flips) if _margolis_defined(f)}
     assert 0 not in squaring and 0 < len(squaring) < len(flips)
-    for tool in (loop, oloop, lambda f: iso_test(f, f)):
+    for tool in (loop, oloop, lambda f: iso_test(f, f), selfdual_shift,
+                 lambda f: selfdual_shift(f, stable=True)):
         verdicts = []
         for f in flips:
             with pytest.raises(NotAModuleError) as caught:
