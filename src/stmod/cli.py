@@ -70,6 +70,17 @@ def _load(args) -> md.GradedModule:
     raise DomainError("no module given; use --fixture NAME or --file PATH")
 
 
+def _load_checked(args) -> md.GradedModule:
+    """``_load``, refusing a --file module that ``validate`` rejects with
+    its first violation.  Fixtures are modules by construction."""
+    m = _load(args)
+    if args.file:
+        bad = md.validate(m)
+        if bad:
+            raise DomainError(f"{args.file}: not a module: {bad[0]}")
+    return m
+
+
 def _emit(args, text: str):
     out = getattr(args, "out", None)
     if out:
@@ -146,7 +157,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    m = _load(args)
+    m = _load_checked(args)
     n = _fixture(args.with_fixture, "--with") if args.with_fixture else None
     if n is None:
         raise DomainError("tensor needs --with FIXTURE")
@@ -159,17 +170,17 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    _emit(args, _serialized(md.dual(_load(args)), "dual"))
+    _emit(args, _serialized(md.dual(_load_checked(args)), "dual"))
     return 0
 
 
 def cmd_suspend(args) -> int:
-    _emit(args, _serialized(md.suspend(_load(args), args.by), "suspended"))
+    _emit(args, _serialized(md.suspend(_load_checked(args), args.by), "suspended"))
     return 0
 
 
 def cmd_reduce(args) -> int:
-    dec = stable.reduce_module(_load(args))
+    dec = stable.reduce_checked(_load(args))
     free = ", ".join(str(d) for d in dec.free_part) or "none"
     print(f"free summands at suspensions: {free}")
     if dec.reduced_part.is_zero():
@@ -205,7 +216,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    m = _load(args)
+    m = _load_checked(args)
     big = modfile.parse_algebra(args.algebra)
     sub = _subalgebra(args.sub, big)
     _emit(args, _serialized(md.induce(big, sub, m), "induced"))
@@ -213,26 +224,26 @@ def cmd_induce(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    m = _load(args)
+    m = _load_checked(args)
     sub = _subalgebra(args.sub, m.algebra)
     _emit(args, _serialized(md.restrict(m, sub), "restricted"))
     return 0
 
 
 def cmd_double(args) -> int:
-    _emit(args, _serialized(md.double(_load(args)), "doubled"))
+    _emit(args, _serialized(md.double(_load_checked(args)), "doubled"))
     return 0
 
 
 def cmd_ext(args) -> int:
-    m = _load(args)
+    m = _load_checked(args)
     chart = resolve.ext_chart(m, _nonnegative(args, "smax"), args.tmax)
     _emit(args, resolve.render_chart(chart, args.format))
     return 0
 
 
 def cmd_extgroups(args) -> int:
-    m = _load(args)
+    m = _load_checked(args)
     n = _fixture(args.coeff, "--coeff")
     chart = resolve.ext_groups(m, n, _nonnegative(args, "smax"), args.tmax)
     _emit(args, resolve.render_chart(chart, args.format))

@@ -18,7 +18,9 @@ the words the closure recorded for it, and F's columns b*x are the
 differential of a resolver ``FreeStage`` on the x.  All of this holds
 only for a module, so ``reduce_module`` runs ``validate`` on any input
 with a free summand and refuses a non-module; an input with no free
-summand is its own reduced part and is not checked.  ``loop`` and
+summand is its own reduced part and is not checked, except through
+``reduce_checked``, which the ``reduce`` verb and ``selfdual_shift`` call,
+so each of their inputs is validated once.  ``loop`` and
 ``oloop`` name the violation of their own argument, not of its product
 with the augmentation ideal, and ``iso_test`` names the violation of an
 argument on which a Milnor primitive fails to square to zero; a module
@@ -175,6 +177,16 @@ def reduce_module(m: GradedModule) -> Decomposition:
                            meta={"name": f"{m.meta.get('name', '?')}~"})
     return Decomposition(m, free_part, reduced,
                          partial(_splitting_map, m, picked, reduced, basis))
+
+
+def reduce_checked(m: GradedModule) -> Decomposition:
+    """``reduce_module(m)``, refusing a non-module also when no free summand
+    splits off: ``reduce_module`` checks only a module it splits, so each
+    input is validated once."""
+    dec = reduce_module(m)
+    if not dec.free_part:
+        _check_module(m)
+    return dec
 
 
 def _splitting_map(m: GradedModule, picked: dict[int, list[int]], reduced: GradedModule,
@@ -463,8 +475,11 @@ def _margolis(m: GradedModule, s: int) -> dict[int, int]:
 def selfdual_shift(m: GradedModule, stable: bool = False) -> int | None:
     """The d with dual(m) ~ m[-d], if any; stable compares reduced parts.
     NotAModuleError, naming the first violation, when m is no module."""
-    _check_module(m)
-    work = reduce_module(m).reduced_part if stable else m
+    if stable:
+        work = reduce_checked(m).reduced_part
+    else:
+        _check_module(m)
+        work = m
     if work.is_zero():
         return 0
     dm = dual(work)

@@ -6,20 +6,21 @@ the truncated polynomial dual; the profile constraint is ``r_i < 2^(n+2-i)``
 with ``r_i = 0`` for ``i > n+1``.  On top of the raw arithmetic (product,
 coproduct, antipode) this module builds finite subalgebras by closing a
 generator set multiplicatively, recording how each basis element is spelled
-as a sum of generator words, and keeps one echelon span per degree.  Its
-right-multiplication columns term * Sq(k) come straight from Milnor's
-single-column walk, whose steps over a_2, ..., a_n are memoised and
-shared by every a_1.  By associativity those columns give every left
-product g_k.b_j, and run along x's words they give every right product
-b_j.x, with no further Milnor product.  Modules are specified by
-generator actions alone: every basis element acts through its left
-decomposition b = sum_k g_k.c_k over the generators, read off the left
-products, while the word expressions are what the Wall relations are
-written in.  The presets A(0), ..., A(3) and E(0), ..., E(3) skip the
-closure: the state it reaches is pinned in tables/*.json and assembled by
-the same code that ends every closure (``_assemble``), and the Wall
-relations of A(0), ..., A(3) are pinned as words (``wall_relations``).
-The tests rebuild both from scratch and compare.
+as a sum of generator words, and keeps one echelon span per degree.  Every
+product of Milnor basis elements goes through one cached kernel,
+``_term_product``, which prunes Milnor's matrices at their first carry.
+The closure's right-multiplication columns term * g come from it.  By
+associativity those columns give every left product g_k.b_j, and run
+along x's words they give every right product b_j.x, with no further
+Milnor product.  Modules are specified by generator actions alone: every
+basis element acts through its left decomposition b = sum_k g_k.c_k over
+the generators, read off the left products, while the word expressions
+are what the Wall relations are written in.  The presets A(0), ..., A(3)
+and E(0), ..., E(3) skip the closure: the state it reaches is pinned in
+tables/*.json and assembled by the same code that ends every closure
+(``_assemble``), and the Wall relations of A(0), ..., A(3) are pinned as
+words (``wall_relations``).  The tests rebuild both from scratch and
+compare.
 """
 
 from __future__ import annotations
@@ -131,23 +132,14 @@ def _term_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int
     so ``mask[k]`` ORs the entries on antidiagonal k and a branch is cut at
     its first carry: inner entries as they are placed, each row residue
     x_i0 when its row closes, the column residues x_0j at the end, where
-    mask[k] has become t_k.
-
-    A single Sq(k) on either side leaves one inner column or one inner row,
-    and there T determines X: the last antidiagonal sum is the last inner
-    entry, and each earlier t_p fixes one more entry once the later ones are
-    known.  So no two matrices share a term, nothing cancels, and
-    ``_chain_product`` lists the terms as a plain set.
+    mask[k] has become t_k.  It is the only product kernel: the
+    products of elements, the antipode and the closure's columns call it.
     """
     m, n = len(r), len(s)
     if m == 0:
         return frozenset({s})
     if n == 0:
         return frozenset({r})
-    if n == 1:
-        return _chain_product(r, s[0], True)
-    if m == 1:
-        return _chain_product(s, r[0], False)
     out: set[tuple[int, ...]] = set()
     mask = [0] * (m + n + 1)
     col_left = [0, *s]  # col_left[j] = s_j minus the inner entries of column j
@@ -181,81 +173,6 @@ def _term_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int
 
     place(1, 1, r[0])
     return frozenset(out)
-
-
-def _chain_product(a: tuple[int, ...], k: int, sq_right: bool) -> frozenset[tuple[int, ...]]:
-    """Sq(a)·Sq(k) when ``sq_right``, else Sq(k)·Sq(a), as a set of terms.
-
-    Milnor's matrix has one inner column, y_p = x_p1 with 2 y_p <= a_p and
-    sum y_p <= k, or one inner row, y_p = x_1p with y_p <= a_p and
-    sum 2^p y_p <= k, for p = 1..n.  On antidiagonal p+1 the entry y_p meets
-    one residue: o_(p+1) = a_(p+1) - 2 y_(p+1), the row residue x_(p+1)0, or
-    a_(p+1) - y_(p+1), the column residue x_0(p+1).  So t_(n+1) = y_n,
-    t_(p+1) = o_(p+1) + y_p and t_1 = o_1 + (what y leaves of k).  Read
-    from the far end, T fixes y_n, then o_n and y_(n-1), and so on down the
-    chain: distinct matrices give distinct terms, and nothing cancels.  The
-    walk draws y_n, ..., y_1 in turn, each among the submasks of the
-    complement of the residue it meets, since a multinomial is odd iff its
-    parts have disjoint bits: ``_chain_tail`` draws y_n, ..., y_2, which do
-    not depend on a_1, and ``_chain_terms`` draws y_1 from each of its states.
-    """
-    return frozenset(_chain_terms(a, k, sq_right))
-
-
-@lru_cache(maxsize=None)
-def _chain_tail(tail: tuple[int, ...], k: int,
-                sq_right: bool) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The walk of ``_chain_product`` over y_n, ..., y_2 for a = (a_1, *tail),
-    shared by every a_1: the states (o_2, what y_n..y_2 leave of k,
-    (t_3, ..., t_(n+1))), a zero t_(n+1) dropped.  With no tail, the one
-    state (0, k, ())."""
-    n = len(tail) + 1
-    own = 1 if sq_right else 0  # y_p takes y_p << own from a_p
-    out: list[tuple[int, int, tuple[int, ...]]] = []
-    t = [0] * (n + 1)  # t[p] = t_(p+1)
-
-    def down(p, meet, left):
-        if p == 1:
-            # only t_(n+1) = y_n can be 0 at the end: then t_n >= a_n
-            out.append((meet, left, tuple(t[2:]) if t[n] else tuple(t[2:n])))
-            return
-        ap = tail[p - 2]
-        cost = 0 if sq_right else p  # ... and y_p << cost from k
-        for y in _submasks(min(ap >> own, left >> cost), meet):
-            t[p] = meet | y
-            down(p - 1, ap - (y << own), left - (y << cost))
-
-    down(n, 0, k)
-    return tuple(out)
-
-
-def _chain_terms(a: tuple[int, ...], k: int, sq_right: bool):
-    """The terms of ``_chain_product(a, k, sq_right)``, each once: y_1 drawn
-    from each state of the shared tail walk.  An empty a is the unit, whose
-    product is Sq(k)."""
-    if not a:
-        yield (k,) if k else ()
-        return
-    a1 = a[0]
-    own, cost = (1, 0) if sq_right else (0, 1)
-    for meet, left, rest in _chain_tail(a[1:], k, sq_right):
-        for y in _submasks(min(a1 >> own, left >> cost), meet):
-            o, r = a1 - (y << own), left - (y << cost)
-            if not o & r:
-                t2 = meet | y
-                yield (o | r, t2, *rest) if t2 or rest else (o | r,)
-
-
-def _submasks(lim: int, meet: int):
-    """Every y <= lim with no bit in common with meet, largest first."""
-    free = ((1 << lim.bit_length()) - 1) & ~meet
-    y = free
-    while True:
-        if y <= lim:
-            yield y
-        if not y:
-            return
-        y = (y - 1) & free
 
 
 def _term_coproduct(r: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -697,20 +614,17 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
     over the Milnor terms of one degree, one ``F2Span`` per degree; a word's
     degree is its parent's plus its last letter's.  Right multiplication by
     ``gens[gi]`` xors one column per set bit, ``right[gi][d][bit]`` =
-    term(d, bit) * gens[gi], each computed once and checked against the
-    ambient profile.  For a generator Sq(k), as every A(n) generator is,
-    the column xors the terms of ``_chain_terms`` straight in: the walk
-    over a_2, ..., a_n (``_chain_tail``) is shared by the terms that
-    differ only in a_1, and each term takes only the step over y_1.  Other
-    generators (Q_s, sums) go through ``_term_product``.  The queue holds
-    one word per entry with its value, memoised by prefix: value(w + (gi,))
-    = value(w) * gens[gi].  A word is accepted only when its value is
-    independent of its degree's span so far, so no recorded word evaluates
-    to zero; it records its parent word and last letter, and each new
-    echelon vector the word combination that produced it.  ``_assemble``
-    turns that state into the algebra, which keeps the columns and word
-    records for ``left`` and ``right_products``, per-degree spans over its
-    sorted basis.
+    term(d, bit) * gens[gi], each computed once from ``_term_product`` over
+    the generator's terms and checked against the ambient profile.  Only
+    the tests and the algebras with no pinned table (``_preset``) run a
+    closure.  The queue holds one word per entry with its value, memoised
+    by prefix: value(w + (gi,)) = value(w) * gens[gi].  A word is accepted
+    only when its value is independent of its degree's span so far, so no
+    recorded word evaluates to zero; it records its parent word and last
+    letter, and each new echelon vector the word combination that produced
+    it.  ``_assemble`` turns that state into the algebra, which keeps the
+    columns and word records for ``left`` and ``right_products``, per-degree
+    spans over its sorted basis.
     """
     gens = tuple(gens)
     for g in gens:
@@ -724,22 +638,14 @@ def subalgebra_closure(gens, ambient: int, *, names=None, name=None,
     gdegs = [g.degree() for g in gens]
     right: list[dict[int, list]] = [{} for _ in gens]
 
-    chains = [0] * len(gens)  # k for a generator Sq(k), else 0
-    for gi, g in enumerate(gens):
-        if len(g.terms) == 1:
-            (s,) = g.terms
-            if len(s) == 1:
-                chains[gi] = s[0]
-
     def column(gi: int, d: int, bit: int) -> int:
-        a, k = terms[d][bit], chains[gi]
         col = 0
-        for t in (_chain_terms(a, k, True) if k else
-                  (t for s in gens[gi].terms for t in _term_product(a, s))):
-            hit = place.get(t)
-            if hit is None:
-                raise OutOfAmbientError(f"product escaped A({ambient}) at {_term_str(t)}")
-            col ^= hit[1]
+        for s in gens[gi].terms:
+            for t in _term_product(terms[d][bit], s):
+                hit = place.get(t)
+                if hit is None:
+                    raise OutOfAmbientError(f"product escaped A({ambient}) at {_term_str(t)}")
+                col ^= hit[1]
         return col
 
     spans: dict[int, F2Span] = {}

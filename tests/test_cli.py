@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from stmod import cli, fixtures, modfile, module as md, steenrod
+from flips import seeded_flips
 
 
 def run(capsys, *argv):
@@ -188,6 +189,43 @@ def test_malformed_file_exits_one_with_location(tmp_path, capsys, text, line):
     code, out, err = run(capsys, "define", "--file", str(p))
     assert code == 1
     assert f"line {line}" in err and "Traceback" not in err
+
+
+# the verbs that check a --file module before using it, each with flags
+# that keep its own work small
+CHECKED_VERBS = {
+    "ext": ("--smax", "1", "--tmax", "4"),
+    "extgroups": ("--coeff", "F2", "--smax", "1", "--tmax", "4"),
+    "tensor": ("--with", "F2"),
+    "dual": (),
+    "suspend": ("--by", "1"),
+    "double": (),
+    "restrict": ("--sub", "A0"),
+    "induce": ("--algebra", "A(2)", "--sub", "A1"),
+}
+
+
+@pytest.fixture(scope="module")
+def joker_square_flip_files(tmp_path_factory):
+    """The 200 seeded flips of Joker^2 (``seeded_flips`` with seed 1) as
+    module files, each with the first violation ``validate`` names on it."""
+    joker = fixtures.load_fixture("Joker")
+    root = tmp_path_factory.mktemp("flips")
+    files = []
+    for i, flip in enumerate(seeded_flips(md.tensor(joker, joker), 200, 1)):
+        path = root / f"flip{i}.mod"
+        path.write_text(modfile.serialize_module(flip))
+        files.append((str(path), md.validate(flip)[0]))
+    return files
+
+
+@pytest.mark.parametrize("verb", CHECKED_VERBS)
+def test_verbs_refuse_a_non_module_file(capsys, joker_square_flip_files, verb):
+    """Each verb exits 1 on every flip, printing nothing and naming the
+    file and its first violation; unchecked, each printed a result."""
+    for path, violation in joker_square_flip_files:
+        assert run(capsys, verb, "--file", path, *CHECKED_VERBS[verb]) == (
+            1, "", f"error: {path}: not a module: {violation}\n")
 
 
 def test_quotient_rejects_empty_summand(capsys):

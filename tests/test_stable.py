@@ -121,6 +121,17 @@ def test_reduce_command_on_a_non_module_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {FLIP0_VIOLATION}\n"
 
 
+def test_reduce_command_refuses_a_non_module_with_no_free_summand(tmp_path, capsys):
+    """reduce_module leaves an input with no free summand unchecked, as on
+    every flip of Joker; the verb refuses each with its first violation."""
+    for flip in seeded_flips(fixtures.load_fixture("Joker"), 50, 1):
+        assert not reduce_module(flip).free_part
+        path = tmp_path / "flip.mod"
+        path.write_text(modfile.serialize_module(flip))
+        assert cli.main(["reduce", "--file", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: not a module: {md.validate(flip)[0]}\n")
+
+
 def test_check_selfdual_command_on_a_non_module_exits_one(tmp_path, capsys):
     """Comparing flip 59 with its dual raises nothing: without its own
     check the command would print ``not self-dual`` and exit 0."""
@@ -163,6 +174,21 @@ def test_stable_tools_refuse_a_non_module():
             verdicts.append(str(caught.value))
         assert verdicts == [f"not a module: {md.validate(f)[0]}" for f in flips]
         assert verdicts[0] == FLIP0_VIOLATION
+
+
+def test_stable_selfdual_shift_validates_once(monkeypatch):
+    """reduce_module checks a module it splits a free summand off, so the
+    stable comparison of Joker (x) HZ runs ``validate`` once."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return md.validate(m)
+
+    monkeypatch.setattr(stable, "validate", counting)
+    m = _fixture_tensor("Joker", "HZ")
+    assert selfdual_shift(m, stable=True) == 5
+    assert calls == [m]
 
 
 def test_isomorphism_is_built_only_when_read(monkeypatch, tmp_path, capsys, joker):
